@@ -156,50 +156,9 @@ impl FuncAnalysis {
         }
     }
 
-    /// Rebuilds an analysis from previously computed parts, recomputing
-    /// only the (cheap, deterministic) CFG locally.
-    ///
-    /// This is the cache-rehydration path: the expensive post-dominator
-    /// and control-dependence results are stored per function, keyed by
-    /// the function's content fingerprint, and stitched back onto a
-    /// freshly built [`Cfg`]. Returns `None` when the parts do not fit
-    /// `func` (wrong statement counts) — callers treat that as a cache
-    /// miss and fall back to [`FuncAnalysis::new`].
-    pub fn from_parts(
-        func: &Function,
-        ipdom: Vec<Node>,
-        cds: Vec<Vec<(StmtId, bool)>>,
-        member_of: Vec<Option<CondGroupId>>,
-    ) -> Option<FuncAnalysis> {
-        let cfg = Cfg::build(func);
-        let n = cfg.stmt_count();
-        if ipdom.len() != n + 1 || cds.len() != n || member_of.len() != n {
-            return None;
-        }
-        Some(FuncAnalysis {
-            cfg,
-            ipdom,
-            cds,
-            member_of,
-        })
-    }
-
     /// The function's CFG.
     pub fn cfg(&self) -> &Cfg {
         &self.cfg
-    }
-
-    /// Immediate post-dominator per node (exit node included) — one of
-    /// the parts a per-function cache serializes for
-    /// [`FuncAnalysis::from_parts`].
-    pub fn ipdoms(&self) -> &[Node] {
-        &self.ipdom
-    }
-
-    /// Per-statement short-circuit cluster membership — one of the parts
-    /// a per-function cache serializes for [`FuncAnalysis::from_parts`].
-    pub fn cluster_memberships(&self) -> &[Option<CondGroupId>] {
-        &self.member_of
     }
 
     /// Raw (unaggregated) static control dependences of a statement.

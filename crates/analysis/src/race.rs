@@ -8,14 +8,13 @@
 //! remaining sites are flagged [`RaceVerdict::MayRace`] (with a witness
 //! pair) or [`RaceVerdict::Unknown`] (lock identity untrackable).
 //!
-//! The analysis is split exactly like the compile/analysis caches:
+//! The analysis runs in two steps:
 //!
 //! * [`FuncRaceSummary::of`] computes a **content-local** per-function
 //!   summary — escape-classified access sites, a must-lockset forward
 //!   dataflow on the [`Cfg`], spawn/call/acquire site lists, and
 //!   "may a spawn / call have happened before this statement" facts.
-//!   The summary depends only on the function body, so Merkle-cached
-//!   units are shared across programs and fleets.
+//!   The summary depends only on the function body.
 //! * [`RaceAnalysis::compose`] combines the summaries bottom-up with a
 //!   cheap interprocedural algebra (call-closure of spawn/release
 //!   effects, a decreasing `entry_solo` fixpoint, thread-root
@@ -446,15 +445,6 @@ impl FuncRaceSummary {
             acquire_sites,
         }
     }
-
-    /// True when the summary's shape matches `func` (rehydration fit
-    /// check — a content-hash collision or corrupted cache fails it).
-    pub fn fits(&self, func: &Function) -> bool {
-        self.stmt_count as usize == func.body.len()
-            && self.locksets.len() == func.body.len()
-            && self.spawn_before.len() == func.body.len()
-            && self.callees_before.len() == func.body.len()
-    }
 }
 
 /// True when statement `s` can re-execute: it reaches itself in the CFG.
@@ -642,7 +632,7 @@ impl RaceAnalysis {
         RaceAnalysis::compose(program, summaries)
     }
 
-    /// Composes precomputed (possibly cache-rehydrated) summaries.
+    /// Composes precomputed summaries.
     /// `summaries[i]` must correspond to `program.funcs[i]`.
     pub fn compose(program: &Program, summaries: Vec<FuncRaceSummary>) -> RaceAnalysis {
         let nf = summaries.len();
@@ -1241,7 +1231,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_fits_and_composes() {
+    fn summaries_compose_to_the_direct_analysis() {
         let p = compile(
             "global x: int;\n\
              fn worker() { x = 1; }\n\
@@ -1249,10 +1239,6 @@ mod tests {
         )
         .unwrap();
         let summaries: Vec<FuncRaceSummary> = p.funcs.iter().map(FuncRaceSummary::of).collect();
-        for (f, s) in p.funcs.iter().zip(&summaries) {
-            assert!(s.fits(f));
-        }
-        assert!(!summaries[0].fits(&p.funcs[1]) || p.funcs[0].body.len() == p.funcs[1].body.len());
         let composed = RaceAnalysis::compose(&p, summaries.clone());
         let direct = RaceAnalysis::analyze(&p);
         assert_eq!(composed.verdicts, direct.verdicts);

@@ -26,11 +26,10 @@
 
 use mcr_batch::{AdmissionPolicy, Fleet, FleetConfig, FleetJob, TriageService};
 use mcr_core::{
-    find_failure_par, measured_frame_size, ArtifactStore, CorpusManifest, FuncUnitStats,
-    ManifestStats, MemoryStore, PhaseStats, ReproOptions, ReproReport, ReproSession, Reproducer,
-    SegStore, StoreStats, PHASE_KINDS,
+    find_failure_par, measured_frame_size, ArtifactStore, MemoryStore, PhaseStats, ReproOptions,
+    ReproReport, Reproducer, SegStore, StoreStats, PHASES,
 };
-use mcr_workloads::{all_bugs, bug_by_name, fleet_mix, fleet_recompile, FleetSpec};
+use mcr_workloads::{all_bugs, fleet_mix, FleetSpec};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -100,9 +99,6 @@ pub struct BatchReport {
     /// Store counters at the end of the fleet run (the per-phase
     /// histograms live in [`StoreStats::per_phase`]).
     pub store: StoreStats,
-    /// Function-granular recompile measurement over a revision stream
-    /// (see [`recompile_report`]).
-    pub recompile: RecompileReport,
     /// Streaming-artifacts measurement: peak resident bytes of the
     /// materialized vs. segmented churn replay, segment-level access
     /// counters, and the adaptive-admission shed count (see
@@ -269,8 +265,6 @@ pub fn batch_report() -> BatchReport {
         workers,
     );
 
-    let recompile = recompile_report();
-
     let s = outcome.summary;
     BatchReport {
         jobs,
@@ -295,7 +289,6 @@ pub fn batch_report() -> BatchReport {
         identical_results: identical,
         reproduced,
         store: store_stats,
-        recompile,
         streaming,
         churn_capacity,
         churn,
@@ -459,111 +452,6 @@ fn streaming_report(
     }
 }
 
-/// Results of the function-granular recompile measurement: a revision
-/// stream ([`mcr_workloads::fleet_recompile`]) replayed against one
-/// shared store, where each revision edits `edits_per_rev` functions and
-/// leaves the rest byte-identical. A function-granular cache should
-/// serve every unedited function's compile and analysis units from the
-/// store and recompute exactly `2 × edits_per_rev` units per revision.
-#[derive(Debug, Clone, Copy)]
-pub struct RecompileReport {
-    /// Revisions in the stream (including the cold base revision).
-    pub revisions: usize,
-    /// Functions per revision (base program plus helpers).
-    pub functions: usize,
-    /// Functions edited per revision after the base.
-    pub edits_per_rev: usize,
-    /// Per-function unit lookups served from the store across the warm
-    /// revisions (compile + analysis units).
-    pub unit_hits: u64,
-    /// Per-function units recomputed across the warm revisions.
-    pub unit_computed: u64,
-    /// `unit_hits / (unit_hits + unit_computed)` over the warm
-    /// revisions — the acceptance metric (≥ 0.85 on this stream; the
-    /// expected value is `(functions − edits) / functions`).
-    pub function_hit_rate: f64,
-    /// Units recomputed per revision edit (expected: exactly 2 — one
-    /// compile unit and one analysis unit per edited function).
-    pub recomputed_per_edit: f64,
-    /// Whether every store-backed revision report was bit-identical to
-    /// its cold (store-less) counterpart.
-    pub identical_results: bool,
-    /// Cross-program dedup counters from the [`CorpusManifest`] the
-    /// stream was recorded into.
-    pub manifest: ManifestStats,
-}
-
-/// Runs the recompile measurement: stress the base revision once, then
-/// reproduce every revision twice — cold (no store) and against one
-/// shared [`CorpusManifest`]-wrapped store — and account the
-/// function-granular unit traffic of the store-backed leg.
-///
-/// The revision edits touch only uncalled helper functions, so the one
-/// base-revision dump is a valid failure dump for every revision and the
-/// cold reports pin the store-backed ones bit-for-bit.
-pub fn recompile_report() -> RecompileReport {
-    const HELPERS: usize = 8;
-    const REVISIONS: usize = 6;
-    const EDITS_PER_REV: usize = 1;
-
-    let base = bug_by_name("mysql-3").expect("suite bug");
-    let revs = fleet_recompile(HELPERS, REVISIONS, EDITS_PER_REV, 11);
-    let programs: Vec<mcr_lang::Program> = revs
-        .iter()
-        .map(|r| mcr_lang::compile(&r.source).unwrap_or_else(|e| panic!("{}: {e}", r.name)))
-        .collect();
-    let functions = programs[0].funcs.len();
-    let input = base.default_input();
-    let dump = find_failure_par(
-        &programs[0],
-        &input,
-        0..stress_seed_cap(),
-        base.max_steps,
-        minipool::available_parallelism(),
-    )
-    .expect("recompile base: stress found no failure")
-    .dump;
-
-    let store = Arc::new(CorpusManifest::new(Arc::new(MemoryStore::unbounded())));
-    let mut warm = FuncUnitStats::default();
-    let mut identical = true;
-    for (rev, program) in revs.iter().zip(&programs) {
-        store.record_program(program);
-        let cold = ReproSession::new(program, dump.clone(), &input, ReproOptions::default())
-            .and_then(|mut s| s.run_to_end())
-            .unwrap_or_else(|e| panic!("{} cold: {e}", rev.name));
-        let mut session = ReproSession::new(program, dump.clone(), &input, ReproOptions::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", rev.name));
-        session.set_store(Arc::clone(&store) as Arc<dyn ArtifactStore>);
-        let report = session
-            .run_to_end()
-            .unwrap_or_else(|e| panic!("{} cached: {e}", rev.name));
-        if !reports_equal(&report, &cold) {
-            identical = false;
-        }
-        if rev.revision > 0 {
-            warm.absorb(&session.function_unit_stats());
-        }
-    }
-
-    let edits = ((REVISIONS - 1) * EDITS_PER_REV) as f64;
-    RecompileReport {
-        revisions: REVISIONS,
-        functions,
-        edits_per_rev: EDITS_PER_REV,
-        unit_hits: warm.compile_hits + warm.analysis_hits,
-        unit_computed: warm.compile_computed + warm.analysis_computed,
-        function_hit_rate: warm.hit_rate(),
-        recomputed_per_edit: if edits > 0.0 {
-            warm.recomputed() as f64 / edits
-        } else {
-            0.0
-        },
-        identical_results: identical,
-        manifest: store.manifest_stats(),
-    }
-}
-
 impl BatchReport {
     /// Serializes the report as pretty-printed JSON (hand-rolled: the
     /// environment has no serde).
@@ -606,36 +494,6 @@ impl BatchReport {
         let _ = writeln!(s, "    \"evictions\": {},", self.store.evictions);
         let _ = writeln!(s, "    \"per_phase\": {{");
         write_phase_rows(&mut s, "      ", &self.store.per_phase);
-        let _ = writeln!(s, "    }}");
-        let _ = writeln!(s, "  }},");
-        let r = &self.recompile;
-        let _ = writeln!(s, "  \"recompile\": {{");
-        let _ = writeln!(s, "    \"revisions\": {},", r.revisions);
-        let _ = writeln!(s, "    \"functions\": {},", r.functions);
-        let _ = writeln!(s, "    \"edits_per_rev\": {},", r.edits_per_rev);
-        let _ = writeln!(s, "    \"unit_hits\": {},", r.unit_hits);
-        let _ = writeln!(s, "    \"unit_computed\": {},", r.unit_computed);
-        let _ = writeln!(s, "    \"function_hit_rate\": {:.3},", r.function_hit_rate);
-        let _ = writeln!(
-            s,
-            "    \"recomputed_per_edit\": {:.2},",
-            r.recomputed_per_edit
-        );
-        let _ = writeln!(s, "    \"identical_results\": {},", r.identical_results);
-        let _ = writeln!(s, "    \"manifest\": {{");
-        let _ = writeln!(s, "      \"programs\": {},", r.manifest.programs);
-        let _ = writeln!(s, "      \"function_refs\": {},", r.manifest.function_refs);
-        let _ = writeln!(
-            s,
-            "      \"distinct_functions\": {},",
-            r.manifest.distinct_functions
-        );
-        let _ = writeln!(
-            s,
-            "      \"shared_functions\": {},",
-            r.manifest.shared_functions
-        );
-        let _ = writeln!(s, "      \"dedup_ratio\": {:.3}", r.manifest.dedup_ratio());
         let _ = writeln!(s, "    }}");
         let _ = writeln!(s, "  }},");
         let st = &self.streaming;
@@ -685,12 +543,13 @@ pub fn churn_probe_capacity(entry_sizes: &[usize]) -> usize {
     footprint.saturating_sub(largest).max(largest).max(1)
 }
 
-/// Writes the six phase-kind rows of a [`PhaseStats`] histogram as JSON
-/// object members (the five pipeline phases plus the compile pre-phase).
+/// Writes the five pipeline-phase rows of a [`PhaseStats`] histogram as
+/// JSON object members. The `Compile` and `StaticRace` rows are left
+/// out: no session stores anything under those kinds.
 fn write_phase_rows(s: &mut String, indent: &str, rows: &[PhaseStats; 7]) {
-    for (i, phase) in PHASE_KINDS.iter().enumerate() {
+    for (i, phase) in PHASES.iter().enumerate() {
         let row = &rows[phase.index()];
-        let comma = if i + 1 < PHASE_KINDS.len() { "," } else { "" };
+        let comma = if i + 1 < PHASES.len() { "," } else { "" };
         let _ = writeln!(
             s,
             "{indent}\"{phase}\": {{\"hits\": {}, \"misses\": {}, \"inserts\": {}, \
@@ -701,20 +560,12 @@ fn write_phase_rows(s: &mut String, indent: &str, rows: &[PhaseStats; 7]) {
 }
 
 /// Keys every `BENCH_batch.json` must carry; `tables -- batch-json`
-/// refuses to write a report that drops one. `"compile"` pins the
-/// compile-pre-phase row of the store histogram — the column that shows
-/// duplicate-program fleet jobs sharing one dispatch plan — and the
-/// `"recompile"` trio pins the function-granular revision-stream
-/// section (see [`RecompileReport`]).
+/// refuses to write a report that drops one.
 pub const BATCH_JSON_REQUIRED: &[&str] = &[
-    "\"compile\"",
     "\"probe_capacity_bytes\"",
     "\"cache_hit_rate\"",
     "\"speedup_vs_serial\"",
     "\"identical_results\"",
-    "\"recompile\"",
-    "\"function_hit_rate\"",
-    "\"recomputed_per_edit\"",
     "\"streaming\"",
     "\"peak_materialized_bytes\"",
     "\"peak_segmented_bytes\"",
@@ -780,22 +631,6 @@ mod tests {
                 bytes: 123_456,
                 ..StoreStats::default()
             },
-            recompile: RecompileReport {
-                revisions: 6,
-                functions: 12,
-                edits_per_rev: 1,
-                unit_hits: 110,
-                unit_computed: 10,
-                function_hit_rate: 110.0 / 120.0,
-                recomputed_per_edit: 2.0,
-                identical_results: true,
-                manifest: ManifestStats {
-                    programs: 6,
-                    function_refs: 72,
-                    distinct_functions: 17,
-                    shared_functions: 12,
-                },
-            },
             streaming: StreamingReport {
                 footprint_bytes: 123_456,
                 capacity_bytes: 61_728,
@@ -827,13 +662,8 @@ mod tests {
             "\"per_phase\"",
             "\"index\": {\"hits\": 0",
             "\"search\": {\"hits\": 0",
-            "\"compile\": {\"hits\": 0",
             "\"churn\"",
             "\"probe_capacity_bytes\": 61728",
-            "\"recompile\"",
-            "\"function_hit_rate\": 0.917",
-            "\"recomputed_per_edit\": 2.00",
-            "\"dedup_ratio\": 0.764",
             "\"streaming\"",
             "\"peak_materialized_bytes\": 185184",
             "\"peak_segmented_bytes\": 65824",
@@ -844,6 +674,8 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(!json.contains("\"compile\""), "no compile row");
+        assert!(!json.contains("\"static-race\""), "no static-race row");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         check_batch_json_schema(&json).expect("shape report satisfies its own schema");
     }

@@ -26,8 +26,8 @@
 //! `BENCH_batch.json`).
 //!
 //! Both JSON writers validate the report against the crate's required
-//! key lists (`steps_per_sec`, `parallel.speedup`, the compile-phase
-//! store row, …) and refuse to write a report that drops a column.
+//! key lists (`steps_per_sec`, `parallel.speedup`, the churn probe, …)
+//! and refuse to write a report that drops a column.
 //!
 //! `table1 --full-scale` generates corpora at the paper's statement
 //! counts (105K/892K/521K — takes a few minutes); the default scale is
@@ -119,18 +119,9 @@ fn main() {
             eprintln!("wrote {path}");
         }
         "steps" => {
-            let stats = mcr_bench::hotpath::stepper_plan_stats();
             println!(
-                "dispatch plan: {} ops, {} fused, {} slow",
-                stats.ops, stats.fused, stats.slow
-            );
-            println!(
-                "steps_per_sec (threaded): {:.0}",
+                "steps_per_sec: {:.0}",
                 mcr_bench::hotpath::measure_steps_per_sec()
-            );
-            println!(
-                "steps_per_sec (legacy):   {:.0}",
-                mcr_bench::hotpath::measure_steps_per_sec_legacy()
             );
         }
         "batch-json" => {
@@ -148,23 +139,6 @@ fn main() {
             assert!(
                 report.cache_hits > 0,
                 "duplicate-heavy mix produced no cache hits"
-            );
-            assert!(
-                report.recompile.identical_results,
-                "recompile stream: store-backed reports diverged from cold runs"
-            );
-            assert!(
-                report.recompile.function_hit_rate >= 0.85,
-                "recompile stream: function-level hit rate {:.3} fell below 0.85",
-                report.recompile.function_hit_rate
-            );
-            assert!(
-                (report.recompile.recomputed_per_edit
-                    - 2.0 * report.recompile.edits_per_rev as f64)
-                    .abs()
-                    < f64::EPSILON,
-                "recompile stream: expected exactly 2 recomputed units per edit, got {:.2}",
-                report.recompile.recomputed_per_edit
             );
             assert!(
                 report.streaming.identical_results,

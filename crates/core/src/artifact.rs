@@ -39,9 +39,6 @@ enum Kind {
     Delta = 2,
     Ranked = 3,
     Search = 4,
-    Plan = 5,
-    Analysis = 6,
-    Race = 7,
 }
 
 fn frame(kind: Kind, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
@@ -136,53 +133,6 @@ pub struct SearchArtifact {
     /// The search result (possibly partial, when cancelled or cut off).
     pub result: SearchResult,
     /// Wall-clock time the phase took.
-    pub elapsed: Duration,
-}
-
-/// Compile pre-phase output: the program's serialized direct-threaded
-/// dispatch plan (`mcr-vm`'s `DispatchPlan` wire bytes). Keyed by
-/// program fingerprint alone, so near-duplicate fleet jobs rehydrate
-/// one shared plan instead of recompiling.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledPlanArtifact {
-    /// The plan's own deterministic wire encoding
-    /// (`DispatchPlan::to_bytes`); kept opaque here so the artifact
-    /// layer does not depend on the plan's internal layout.
-    pub plan_bytes: Vec<u8>,
-    /// Wall-clock time the compile took.
-    pub elapsed: Duration,
-}
-
-/// Per-function static-analysis cache unit: the expensive parts of one
-/// `mcr_analysis::FuncAnalysis` (post-dominators, control dependences,
-/// cluster membership), keyed by the function's content fingerprint.
-/// The cheap CFG is rebuilt locally on rehydration
-/// (`FuncAnalysis::from_parts`), so this artifact stays small — which is
-/// exactly why the store's small-entry protection floor matters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuncAnalysisArtifact {
-    /// Immediate post-dominator per CFG node (`stmt_count + 1` entries,
-    /// virtual exit included; `usize::MAX` marks unreachable nodes).
-    pub ipdom: Vec<usize>,
-    /// Raw control dependences per statement.
-    pub cds: Vec<Vec<(StmtId, bool)>>,
-    /// Short-circuit cluster membership per statement.
-    pub member_of: Vec<Option<CondGroupId>>,
-    /// Wall-clock time the analysis took.
-    pub elapsed: Duration,
-}
-
-/// Per-function static race/lockset cache unit: one function's
-/// [`mcr_analysis::FuncRaceSummary`], keyed by the function's content
-/// fingerprint under [`Phase::StaticRace`](crate::Phase). Summaries are
-/// content-local (no whole-program facts), so Merkle-cached units
-/// compose bottom-up: a session rehydrates the unchanged functions'
-/// summaries and runs only the cheap whole-program composition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuncRaceArtifact {
-    /// The function's race summary.
-    pub summary: mcr_analysis::FuncRaceSummary,
-    /// Wall-clock time the summary extraction took.
     pub elapsed: Duration,
 }
 
@@ -751,174 +701,6 @@ impl SearchArtifact {
     }
 }
 
-impl CompiledPlanArtifact {
-    /// Serializes the artifact to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        frame(Kind::Plan, |w| {
-            w.bytes(&self.plan_bytes);
-            w.duration(self.elapsed);
-        })
-    }
-
-    /// Parses an artifact from bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncated or malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = unframe(bytes, Kind::Plan)?;
-        let plan_bytes = r.bytes()?.to_vec();
-        let elapsed = r.duration()?;
-        r.finish()?;
-        Ok(CompiledPlanArtifact {
-            plan_bytes,
-            elapsed,
-        })
-    }
-}
-
-impl FuncAnalysisArtifact {
-    /// Captures the cacheable parts of one function's analysis.
-    pub fn of(fa: &mcr_analysis::FuncAnalysis, elapsed: Duration) -> FuncAnalysisArtifact {
-        let n = fa.cfg().stmt_count();
-        FuncAnalysisArtifact {
-            ipdom: fa.ipdoms().to_vec(),
-            cds: (0..n)
-                .map(|s| fa.raw_cds(StmtId(s as u32)).to_vec())
-                .collect(),
-            member_of: fa.cluster_memberships().to_vec(),
-            elapsed,
-        }
-    }
-
-    /// Stitches the cached parts back onto `func`'s freshly built CFG.
-    /// `None` when the parts do not fit the function (a content-hash
-    /// collision or corrupted cache) — callers re-analyze.
-    pub fn rehydrate(&self, func: &mcr_lang::Function) -> Option<mcr_analysis::FuncAnalysis> {
-        mcr_analysis::FuncAnalysis::from_parts(
-            func,
-            self.ipdom.clone(),
-            self.cds.clone(),
-            self.member_of.clone(),
-        )
-    }
-
-    /// Serializes the artifact to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        frame(Kind::Analysis, |w| {
-            w.uvarint(self.ipdom.len() as u64);
-            for &node in &self.ipdom {
-                w.uvarint(node as u64);
-            }
-            w.uvarint(self.cds.len() as u64);
-            for deps in &self.cds {
-                w.uvarint(deps.len() as u64);
-                for &(stmt, outcome) in deps {
-                    w.uvarint(stmt.0 as u64);
-                    w.u8(outcome as u8);
-                }
-            }
-            w.uvarint(self.member_of.len() as u64);
-            for m in &self.member_of {
-                match m {
-                    None => w.u8(0),
-                    Some(g) => {
-                        w.u8(1);
-                        w.uvarint(g.0 as u64);
-                    }
-                }
-            }
-            w.duration(self.elapsed);
-        })
-    }
-
-    /// Parses an artifact from bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncated or malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = unframe(bytes, Kind::Analysis)?;
-        let nipdom = r.len("ipdom nodes")?;
-        let mut ipdom = Vec::with_capacity(nipdom);
-        for _ in 0..nipdom {
-            ipdom.push(r.uvarint()? as usize);
-        }
-        let ncds = r.len("cds rows")?;
-        let mut cds = Vec::with_capacity(ncds);
-        for _ in 0..ncds {
-            let ndeps = r.len("cds deps")?;
-            let mut deps = Vec::with_capacity(ndeps);
-            for _ in 0..ndeps {
-                let stmt = StmtId(r.uvarint()? as u32);
-                let outcome = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    t => return r.err(format!("bad outcome tag {t}")),
-                };
-                deps.push((stmt, outcome));
-            }
-            cds.push(deps);
-        }
-        let nmembers = r.len("cluster members")?;
-        let mut member_of = Vec::with_capacity(nmembers);
-        for _ in 0..nmembers {
-            member_of.push(match r.u8()? {
-                0 => None,
-                1 => Some(CondGroupId(r.uvarint()? as u32)),
-                t => return r.err(format!("bad membership tag {t}")),
-            });
-        }
-        let elapsed = r.duration()?;
-        r.finish()?;
-        Ok(FuncAnalysisArtifact {
-            ipdom,
-            cds,
-            member_of,
-            elapsed,
-        })
-    }
-}
-
-impl FuncRaceArtifact {
-    /// Captures one function's race summary.
-    pub fn of(summary: mcr_analysis::FuncRaceSummary, elapsed: Duration) -> FuncRaceArtifact {
-        FuncRaceArtifact { summary, elapsed }
-    }
-
-    /// The cached summary, if it fits `func` (same statement count and
-    /// per-statement table shapes). `None` on a content-hash collision
-    /// or corrupted cache — callers re-summarize.
-    pub fn rehydrate(&self, func: &mcr_lang::Function) -> Option<mcr_analysis::FuncRaceSummary> {
-        if self.summary.fits(func) {
-            Some(self.summary.clone())
-        } else {
-            None
-        }
-    }
-
-    /// Serializes the artifact to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        frame(Kind::Race, |w| {
-            mcr_dump::wire::write_race_summary(w, &self.summary);
-            w.duration(self.elapsed);
-        })
-    }
-
-    /// Parses an artifact from bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncated or malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = unframe(bytes, Kind::Race)?;
-        let summary = mcr_dump::wire::read_race_summary(&mut r)?;
-        let elapsed = r.duration()?;
-        r.finish()?;
-        Ok(FuncRaceArtifact { summary, elapsed })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -947,43 +729,6 @@ mod tests {
         let back = FailureIndexArtifact::from_bytes(&bytes).unwrap();
         assert_eq!(art, back);
         assert_eq!(bytes, back.to_bytes());
-    }
-
-    #[test]
-    fn plan_artifact_round_trip() {
-        let art = CompiledPlanArtifact {
-            plan_bytes: b"MCRD-opaque-plan-payload".to_vec(),
-            elapsed: Duration::from_micros(17),
-        };
-        let bytes = art.to_bytes();
-        let back = CompiledPlanArtifact::from_bytes(&bytes).unwrap();
-        assert_eq!(art, back);
-        assert_eq!(bytes, back.to_bytes());
-        // Kind confusion with pipeline artifacts is rejected.
-        assert!(SearchArtifact::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn analysis_artifact_round_trip() {
-        let p = mcr_lang::compile(
-            "global x: int; fn main() { if (x > 0 && x < 5) { x = 1; } while (x) { x = x - 1; } }",
-        )
-        .unwrap();
-        let fa = mcr_analysis::FuncAnalysis::new(&p.funcs[0]);
-        let art = FuncAnalysisArtifact::of(&fa, Duration::from_micros(9));
-        let bytes = art.to_bytes();
-        let back = FuncAnalysisArtifact::from_bytes(&bytes).unwrap();
-        assert_eq!(art, back);
-        assert_eq!(bytes, back.to_bytes());
-        // Rehydration onto the same function succeeds and preserves the
-        // analysis facts; a different function is rejected.
-        let re = back.rehydrate(&p.funcs[0]).expect("parts fit");
-        assert_eq!(re.ipdoms(), fa.ipdoms());
-        assert_eq!(re.cluster_memberships(), fa.cluster_memberships());
-        let other = mcr_lang::compile("fn main() { }").unwrap();
-        assert!(back.rehydrate(&other.funcs[0]).is_none());
-        // Kind confusion with plan artifacts is rejected.
-        assert!(CompiledPlanArtifact::from_bytes(&bytes).is_err());
     }
 
     #[test]

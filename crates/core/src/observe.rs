@@ -27,28 +27,27 @@ pub enum Phase {
     Rank,
     /// The directed schedule search (§5).
     Search,
-    /// Pre-phase: compiling the program into a direct-threaded dispatch
-    /// plan (`mcr-vm`'s `DispatchPlan`). Not part of the five-phase
-    /// pipeline — it runs before the first phase that needs a VM, emits
-    /// no [`PhaseEvent`]s, and is keyed by program fingerprint alone so
-    /// near-duplicate fleet jobs share one compiled plan. It surfaces
-    /// only in [`StoreStats::per_phase`](crate::StoreStats::per_phase)
-    /// like any other cached artifact. Declared last so `Ord` matches
-    /// [`Phase::index`].
+    /// Retired: nothing produces this kind, and
+    /// [`ReproSession::run_phase`](crate::ReproSession::run_phase) on it
+    /// is a no-op. It keeps its wire index (5) and its
+    /// [`StoreStats::per_phase`](crate::StoreStats::per_phase) row
+    /// (always zero) so later indices stay stable. Declared after the
+    /// pipeline phases so `Ord` matches [`Phase::index`].
     Compile,
     /// Pre-phase: the static race/lockset analysis
-    /// (`mcr_analysis::race`). Like [`Phase::Compile`] it sits outside
-    /// the five-phase pipeline — per-function summaries are cached
-    /// under `PhaseKey::derive_for_function` and composed per program,
-    /// and the result feeds candidate pruning in the search phase plus
-    /// the dump-less `race-lint` surface. Appended after `Compile` so
-    /// existing wire indices stay stable.
+    /// (`mcr_analysis::race`). It sits outside the five-phase pipeline:
+    /// the search phase resolves it in-process on first use (under
+    /// [`ReproOptions::static_race`](crate::ReproOptions::static_race))
+    /// and it is never written to a store, so its
+    /// [`StoreStats::per_phase`](crate::StoreStats::per_phase) row is
+    /// always zero. Appended after `Compile` so existing wire indices
+    /// stay stable.
     StaticRace,
 }
 
-/// The five pipeline phases, in execution order. Deliberately excludes
-/// [`Phase::Compile`]: drivers iterate this to run a session, and the
-/// compile pre-phase is not independently runnable.
+/// The five pipeline phases, in execution order: drivers iterate this
+/// to run a session. These are the only phases with a session artifact,
+/// an artifact hash and a phase key.
 pub const PHASES: [Phase; 5] = [
     Phase::Index,
     Phase::Align,
@@ -58,8 +57,8 @@ pub const PHASES: [Phase; 5] = [
 ];
 
 /// Every phase kind with a wire index, in index order: the five
-/// pipeline phases followed by the [`Phase::Compile`] and
-/// [`Phase::StaticRace`] pre-phases. This is the iteration order of
+/// pipeline phases followed by the retired [`Phase::Compile`] and the
+/// [`Phase::StaticRace`] pre-phase. This is the iteration order of
 /// per-phase store statistics.
 pub const PHASE_KINDS: [Phase; 7] = [
     Phase::Index,
@@ -73,8 +72,8 @@ pub const PHASE_KINDS: [Phase; 7] = [
 
 impl Phase {
     /// The phase executed immediately after this one, if any. The
-    /// `Compile` pre-phase sits outside the pipeline chain (`None` in
-    /// both directions).
+    /// `Compile` and `StaticRace` kinds sit outside the pipeline chain
+    /// (`None` in both directions).
     pub fn next(self) -> Option<Phase> {
         match self {
             Phase::Index => Some(Phase::Align),
@@ -98,7 +97,7 @@ impl Phase {
     }
 
     /// Position of the phase in the pipeline (0-based, execution order;
-    /// the `Compile` pre-phase takes the slot after the pipeline).
+    /// the `Compile` and `StaticRace` kinds take the slots after it).
     /// Stable — it doubles as the phase tag of the wire formats.
     pub fn index(self) -> usize {
         match self {

@@ -104,9 +104,9 @@ pub struct PhaseBudgets {
 }
 
 impl PhaseBudgets {
-    /// The budget configured for `phase`, if any. The `Compile` and
-    /// `StaticRace` pre-phases are never budgeted (plan compilation and
-    /// summary composition are microseconds and infallible).
+    /// The budget configured for `phase`, if any. The retired `Compile`
+    /// kind and the `StaticRace` pre-phase are never budgeted (the race
+    /// analysis is microseconds and infallible).
     pub fn get(&self, phase: Phase) -> Option<PhaseBudget> {
         match phase {
             Phase::Index => self.index,
@@ -119,7 +119,7 @@ impl PhaseBudgets {
     }
 
     /// Sets the budget for `phase` (ignored for the unbudgetable
-    /// `Compile` and `StaticRace` pre-phases).
+    /// `Compile` and `StaticRace` kinds).
     pub fn set(&mut self, phase: Phase, budget: PhaseBudget) {
         match phase {
             Phase::Index => self.index = Some(budget),

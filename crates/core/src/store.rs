@@ -43,7 +43,7 @@
 use crate::observe::Phase;
 use mcr_dump::wire::{ContentHash, ContentHasher, Reader, SegmentWriter, SegmentedBytes, Writer};
 use mcr_dump::DecodeError;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -86,29 +86,6 @@ impl PhaseKey {
                 h.update(&u.to_le_bytes());
             }
         }
-        PhaseKey {
-            phase,
-            hash: h.finish128(),
-        }
-    }
-
-    /// Derives a *function-scoped* key: content-addressed by one
-    /// function's fingerprint alone (plus the phase kind), with no
-    /// session basis folded in.
-    ///
-    /// This is the unit the fleet caches actually share. A session-level
-    /// [`PhaseKey::derive`] key changes whenever *anything* about the
-    /// session changes; a function-scoped key is identical for every
-    /// program revision — and every *other* program — containing the
-    /// byte-identical function, so a one-function edit invalidates
-    /// exactly one compile unit and one analysis unit. The domain tag
-    /// differs from [`PhaseKey::derive`]'s, so the two key families can
-    /// never collide even within the same phase kind.
-    pub fn derive_for_function(func: ContentHash, phase: Phase) -> PhaseKey {
-        let mut h = ContentHasher::new();
-        h.update(b"MCRPKF1");
-        h.update(&func.to_le_bytes());
-        h.update(&[phase.index() as u8]);
         PhaseKey {
             phase,
             hash: h.finish128(),
@@ -161,42 +138,6 @@ impl PhaseStats {
     }
 }
 
-/// Cross-program function-sharing counters reported by a
-/// [`CorpusManifest`]. Plain stores leave this zeroed; the manifest
-/// decorator fills it from its program→function sharing graph.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ManifestStats {
-    /// Distinct programs registered with the manifest.
-    pub programs: u64,
-    /// Total program→function references (every program contributes one
-    /// per function it contains).
-    pub function_refs: u64,
-    /// Distinct function fingerprints across the whole corpus.
-    pub distinct_functions: u64,
-    /// Distinct functions referenced by two or more programs.
-    pub shared_functions: u64,
-}
-
-impl ManifestStats {
-    /// Fraction of function references that deduplicate onto an
-    /// already-known function, in `[0, 1]` (0 when nothing registered).
-    /// A corpus of N identical programs approaches `1 − 1/N`.
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.function_refs == 0 {
-            0.0
-        } else {
-            1.0 - self.distinct_functions as f64 / self.function_refs as f64
-        }
-    }
-
-    fn absorb(&mut self, o: &ManifestStats) {
-        self.programs += o.programs;
-        self.function_refs += o.function_refs;
-        self.distinct_functions += o.distinct_functions;
-        self.shared_functions += o.shared_functions;
-    }
-}
-
 /// Counters every store tracks; a fleet summary reports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -214,11 +155,9 @@ pub struct StoreStats {
     pub bytes: usize,
     /// The same counters sliced by phase kind, indexed by
     /// [`Phase::index`] (see [`StoreStats::phase`]): the five pipeline
-    /// phases followed by the `Compile` and `StaticRace` pre-phases.
+    /// phases followed by the `Compile` and `StaticRace` kinds, whose
+    /// rows stay zero: no session writes or reads them.
     pub per_phase: [PhaseStats; 7],
-    /// Cross-program function-sharing counters (zero unless the store is
-    /// wrapped in a [`CorpusManifest`]).
-    pub manifest: ManifestStats,
 }
 
 impl StoreStats {
@@ -249,7 +188,6 @@ impl StoreStats {
         for (mine, theirs) in self.per_phase.iter_mut().zip(&o.per_phase) {
             mine.absorb(theirs);
         }
-        self.manifest.absorb(&o.manifest);
     }
 
     /// Mean resident artifact size across the per-phase histogram
@@ -348,21 +286,9 @@ struct MemInner {
 /// capacity holds again; a single entry larger than the whole capacity
 /// is retained alone (evicting it immediately would make the store
 /// useless for exactly the artifacts worth caching most).
-///
-/// Plain byte-LRU is *cost-blind*: a 120-byte index artifact frees
-/// almost nothing when evicted yet costs a full phase re-run to rebuild,
-/// while one 128 KB diff artifact frees a thousand times the space. A
-/// store built with [`MemoryStore::with_capacity_and_floor`] therefore
-/// protects entries at or under the floor: under pressure it picks its
-/// LRU victim among the entries *larger* than the floor, and only when
-/// no large entry remains does it fall back to plain LRU (which keeps
-/// eviction terminating and the capacity bound honest).
 #[derive(Debug, Default)]
 pub struct MemoryStore {
     capacity: Option<usize>,
-    /// Entries of at most this many bytes are evicted only when no
-    /// larger victim exists.
-    floor: usize,
     inner: Mutex<MemInner>,
 }
 
@@ -376,18 +302,6 @@ impl MemoryStore {
     pub fn with_capacity(bytes: usize) -> MemoryStore {
         MemoryStore {
             capacity: Some(bytes),
-            floor: 0,
-            inner: Mutex::default(),
-        }
-    }
-
-    /// A capacity-bounded store that additionally protects small
-    /// entries: artifacts of at most `floor` bytes are only evicted when
-    /// no larger entry is left to drop.
-    pub fn with_capacity_and_floor(bytes: usize, floor: usize) -> MemoryStore {
-        MemoryStore {
-            capacity: Some(bytes),
-            floor,
             inner: Mutex::default(),
         }
     }
@@ -477,21 +391,11 @@ impl ArtifactStore for MemoryStore {
         inner.stats.per_phase[kind].bytes += bytes.len();
         if let Some(cap) = self.capacity {
             while inner.stats.bytes > cap && inner.stats.entries > 1 {
-                // Prefer the LRU entry among those above the small-entry
-                // protection floor; plain LRU only when none is left.
                 let victim = inner
                     .map
                     .iter()
-                    .filter(|(_, (b, _))| b.len() > self.floor)
                     .min_by_key(|(_, (_, used))| *used)
                     .map(|(k, _)| *k)
-                    .or_else(|| {
-                        inner
-                            .map
-                            .iter()
-                            .min_by_key(|(_, (_, used))| *used)
-                            .map(|(k, _)| *k)
-                    })
                     .expect("entries > 1");
                 let (dropped, _) = inner.map.remove(&victim).expect("victim resident");
                 let vkind = victim.phase.index();
@@ -980,120 +884,13 @@ impl ArtifactStore for ShardedStore {
     }
 }
 
-#[derive(Debug, Default)]
-struct ManifestState {
-    /// Program roots already registered (re-registration is idempotent).
-    programs: HashSet<ContentHash>,
-    /// Function fingerprint → number of distinct registered programs
-    /// containing that function.
-    funcs: HashMap<ContentHash, u64>,
-    /// Total program→function references.
-    refs: u64,
-}
-
-/// An [`ArtifactStore`] decorator that records which programs share
-/// which functions — the corpus-level dedup ledger of function-granular
-/// caching.
-///
-/// Storage delegates untouched to the wrapped store; the manifest adds
-/// only bookkeeping. A fleet registers each admitted program once with
-/// [`CorpusManifest::record_program`]; the manifest folds the program's
-/// function fingerprints into its sharing graph and reports the result
-/// through [`StoreStats::manifest`], so a triage deployment can answer
-/// "how much of this corpus is the same code?" — the number that
-/// predicts the function-level hit rate of a recompile stream.
-#[derive(Debug)]
-pub struct CorpusManifest {
-    inner: Arc<dyn ArtifactStore>,
-    state: Mutex<ManifestState>,
-}
-
-impl CorpusManifest {
-    /// Wraps `inner`, starting from an empty sharing graph.
-    pub fn new(inner: Arc<dyn ArtifactStore>) -> CorpusManifest {
-        CorpusManifest {
-            inner,
-            state: Mutex::default(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ManifestState> {
-        self.state.lock().expect("corpus manifest poisoned")
-    }
-
-    /// Registers one program revision in the sharing graph. Idempotent
-    /// per program fingerprint; returns `true` the first time this exact
-    /// program is seen.
-    pub fn record_program(&self, program: &mcr_lang::Program) -> bool {
-        let root = program_fingerprint(program);
-        let mut state = self.lock();
-        if !state.programs.insert(root) {
-            return false;
-        }
-        // A program referencing the same function twice still counts
-        // each occurrence: every occurrence is a cache reference.
-        for func in &program.funcs {
-            *state.funcs.entry(function_fingerprint(func)).or_insert(0) += 1;
-            state.refs += 1;
-        }
-        true
-    }
-
-    /// How many distinct registered programs contain the function with
-    /// fingerprint `func` (0 when unknown).
-    pub fn programs_sharing(&self, func: ContentHash) -> u64 {
-        self.lock().funcs.get(&func).copied().unwrap_or(0)
-    }
-
-    /// The sharing counters alone (also folded into
-    /// [`ArtifactStore::stats`] as [`StoreStats::manifest`]).
-    pub fn manifest_stats(&self) -> ManifestStats {
-        let state = self.lock();
-        ManifestStats {
-            programs: state.programs.len() as u64,
-            function_refs: state.refs,
-            distinct_functions: state.funcs.len() as u64,
-            shared_functions: state.funcs.values().filter(|&&n| n >= 2).count() as u64,
-        }
-    }
-}
-
-impl ArtifactStore for CorpusManifest {
-    fn get(&self, key: &PhaseKey) -> Option<Vec<u8>> {
-        self.inner.get(key)
-    }
-
-    fn put(&self, key: &PhaseKey, bytes: &[u8]) {
-        self.inner.put(key, bytes);
-    }
-
-    fn stats(&self) -> StoreStats {
-        let mut stats = self.inner.stats();
-        stats.manifest = self.manifest_stats();
-        stats
-    }
-
-    fn is_caching(&self) -> bool {
-        self.inner.is_caching()
-    }
-}
-
 /// A stable fingerprint of a compiled program: the Merkle root
 /// [`mcr_lang::program_fingerprint`] computes over the shared state and
 /// the per-function fingerprints. Part of every session's key basis, so
 /// artifacts of different programs can never be confused even when dumps
-/// and inputs coincide — while unchanged functions keep their
-/// [`function_fingerprint`] leaves across revisions, which is what the
-/// function-scoped keys ([`PhaseKey::derive_for_function`]) are built
-/// on.
+/// and inputs coincide.
 pub fn program_fingerprint(program: &mcr_lang::Program) -> ContentHash {
     ContentHash(mcr_lang::program_fingerprint(program))
-}
-
-/// One function's stable content fingerprint
-/// ([`mcr_lang::function_fingerprint`]) as a store key hash.
-pub fn function_fingerprint(func: &mcr_lang::Function) -> ContentHash {
-    ContentHash(mcr_lang::function_fingerprint(func))
 }
 
 #[cfg(test)]
@@ -1357,72 +1154,6 @@ mod tests {
     }
 
     #[test]
-    fn function_scoped_keys_are_shared_across_programs() {
-        let a = mcr_lang::compile("fn helper() { } fn main() { }").unwrap();
-        let b = mcr_lang::compile("global g: int; fn helper() { } fn main() { g = 1; }").unwrap();
-        // Different programs, identical `helper` → identical unit key.
-        let ka = PhaseKey::derive_for_function(function_fingerprint(&a.funcs[0]), Phase::Compile);
-        let kb = PhaseKey::derive_for_function(function_fingerprint(&b.funcs[0]), Phase::Compile);
-        assert_eq!(ka, kb);
-        // `main` differs → distinct keys.
-        assert_ne!(
-            PhaseKey::derive_for_function(function_fingerprint(&a.funcs[1]), Phase::Compile),
-            PhaseKey::derive_for_function(function_fingerprint(&b.funcs[1]), Phase::Compile),
-        );
-        // Phase kind separates compile units from analysis units, and the
-        // function-scoped domain never collides with session-level keys.
-        assert_ne!(
-            ka,
-            PhaseKey::derive_for_function(function_fingerprint(&a.funcs[0]), Phase::Index)
-        );
-        assert_ne!(
-            ka.hash,
-            PhaseKey::derive(function_fingerprint(&a.funcs[0]), Phase::Compile, None).hash
-        );
-    }
-
-    #[test]
-    fn small_entry_floor_protects_cheap_artifacts() {
-        // 3 small (4 B) "index" entries + large "diff" entries under an
-        // LRU that must shed bytes: the victims are the large entries,
-        // regardless of recency.
-        let store = MemoryStore::with_capacity_and_floor(64, 8);
-        let small: Vec<PhaseKey> = (0..3).map(|s| key(Phase::Index, s)).collect();
-        for k in &small {
-            store.put(k, b"tiny");
-        }
-        store.put(&key(Phase::Diff, 10), &[0u8; 40]);
-        // Small entries are now LRU; the second large insert overflows.
-        store.put(&key(Phase::Diff, 11), &[1u8; 40]);
-        for k in &small {
-            assert!(store.get(k).is_some(), "protected small entry survives");
-        }
-        let stats = store.stats();
-        assert_eq!(stats.phase(Phase::Diff).evictions, 1);
-        assert_eq!(stats.phase(Phase::Index).evictions, 0);
-        assert!(stats.bytes <= 64);
-    }
-
-    #[test]
-    fn small_entry_floor_falls_back_to_plain_lru() {
-        // All entries at/under the floor: eviction still terminates and
-        // behaves like plain LRU (the capacity bound stays honest).
-        let store = MemoryStore::with_capacity_and_floor(8, 16);
-        let (a, b, c) = (
-            key(Phase::Index, 1),
-            key(Phase::Index, 2),
-            key(Phase::Index, 3),
-        );
-        store.put(&a, b"aaaa");
-        store.put(&b, b"bbbb");
-        assert!(store.get(&a).is_some());
-        store.put(&c, b"cccc");
-        assert!(store.get(&a).is_some(), "recently used survives");
-        assert!(store.get(&b).is_none(), "LRU entry evicted");
-        assert!(store.stats().bytes <= 8);
-    }
-
-    #[test]
     fn entry_walks_agree_with_materialized_entries() {
         let store = MemoryStore::unbounded();
         for s in 0..12u8 {
@@ -1558,37 +1289,5 @@ mod tests {
             Some([7u8; 2000].as_ref())
         );
         assert_eq!(seg.stats().entries, 2);
-    }
-
-    #[test]
-    fn corpus_manifest_records_cross_program_sharing() {
-        let base = "global x: int; fn helper() { x = 1; } fn main() { spawn helper(); }";
-        let p1 = mcr_lang::compile(base).unwrap();
-        let p2 = mcr_lang::compile(&base.replace("x = 1;", "x = 2;")).unwrap();
-        let store = CorpusManifest::new(Arc::new(MemoryStore::unbounded()));
-        assert!(store.record_program(&p1));
-        assert!(!store.record_program(&p1), "re-registration is idempotent");
-        assert!(store.record_program(&p2));
-        let m = store.stats().manifest;
-        assert_eq!(m.programs, 2);
-        assert_eq!(m.function_refs, 4);
-        // `main` is shared; the two `helper` revisions are distinct.
-        assert_eq!(m.distinct_functions, 3);
-        assert_eq!(m.shared_functions, 1);
-        assert!((m.dedup_ratio() - 0.25).abs() < 1e-9);
-        assert_eq!(
-            store.programs_sharing(function_fingerprint(&p1.funcs[1])),
-            2
-        );
-        assert_eq!(
-            store.programs_sharing(function_fingerprint(&p1.funcs[0])),
-            1
-        );
-        // Storage passes through to the wrapped store.
-        let k = key(Phase::Compile, 7);
-        store.put(&k, b"unit");
-        assert_eq!(store.get(&k).as_deref(), Some(b"unit".as_ref()));
-        assert!(store.is_caching());
-        assert_eq!(store.stats().entries, 1);
     }
 }

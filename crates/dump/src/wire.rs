@@ -1243,151 +1243,6 @@ fn fault_kind_from_tag(t: u8) -> Option<FaultKind> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Static race-summary codec (the `Phase::StaticRace` per-function cache
-// unit of `mcr-core`). Lives here, next to the other shared composite
-// codecs, so the proptest battery in `tests/codec_roundtrip.rs` covers
-// it alongside the dump format.
-
-fn write_access_site(w: &mut Writer, a: &mcr_analysis::AccessSite) {
-    w.uvarint(a.stmt.0 as u64);
-    match a.target {
-        mcr_analysis::AccessTarget::Global(g) => {
-            w.u8(0);
-            w.uvarint(g.0 as u64);
-        }
-        mcr_analysis::AccessTarget::SharedHeap => w.u8(1),
-        mcr_analysis::AccessTarget::PrivateHeap => w.u8(2),
-    }
-    w.bool(a.is_write);
-}
-
-fn read_access_site(r: &mut Reader<'_>) -> Result<mcr_analysis::AccessSite, DecodeError> {
-    let stmt = StmtId(r.uvarint()? as u32);
-    let target = match r.u8()? {
-        0 => mcr_analysis::AccessTarget::Global(GlobalId(r.uvarint()? as u32)),
-        1 => mcr_analysis::AccessTarget::SharedHeap,
-        2 => mcr_analysis::AccessTarget::PrivateHeap,
-        t => return r.err(format!("bad access target tag {t}")),
-    };
-    let is_write = r.bool()?;
-    Ok(mcr_analysis::AccessSite {
-        stmt,
-        target,
-        is_write,
-    })
-}
-
-/// Serializes one per-function static race summary
-/// ([`mcr_analysis::FuncRaceSummary`]).
-pub fn write_race_summary(w: &mut Writer, s: &mcr_analysis::FuncRaceSummary) {
-    w.uvarint(s.stmt_count as u64);
-    w.bool(s.lock_top);
-    w.uvarint(s.locksets.len() as u64);
-    for &m in &s.locksets {
-        w.uvarint(m);
-    }
-    w.uvarint(s.spawn_before.len() as u64);
-    for &b in &s.spawn_before {
-        w.bool(b);
-    }
-    w.uvarint(s.callees_before.len() as u64);
-    for callees in &s.callees_before {
-        w.uvarint(callees.len() as u64);
-        for c in callees {
-            w.uvarint(c.0 as u64);
-        }
-    }
-    w.uvarint(s.accesses.len() as u64);
-    for a in &s.accesses {
-        write_access_site(w, a);
-    }
-    w.uvarint(s.releases);
-    w.uvarint(s.call_sites.len() as u64);
-    for &(stmt, callee) in &s.call_sites {
-        w.uvarint(stmt.0 as u64);
-        w.uvarint(callee.0 as u64);
-    }
-    w.uvarint(s.spawn_sites.len() as u64);
-    for &(stmt, callee, in_loop) in &s.spawn_sites {
-        w.uvarint(stmt.0 as u64);
-        w.uvarint(callee.0 as u64);
-        w.bool(in_loop);
-    }
-    w.uvarint(s.acquire_sites.len() as u64);
-    for &(stmt, lock) in &s.acquire_sites {
-        w.uvarint(stmt.0 as u64);
-        w.uvarint(lock.0 as u64);
-    }
-}
-
-/// Parses one per-function static race summary.
-///
-/// # Errors
-///
-/// Returns [`DecodeError`] on truncated or malformed input.
-pub fn read_race_summary(r: &mut Reader<'_>) -> Result<mcr_analysis::FuncRaceSummary, DecodeError> {
-    let stmt_count = r.uvarint()? as u32;
-    let lock_top = r.bool()?;
-    let n = r.len("locksets")?;
-    let mut locksets = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        locksets.push(r.uvarint()?);
-    }
-    let n = r.len("spawn-before flags")?;
-    let mut spawn_before = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        spawn_before.push(r.bool()?);
-    }
-    let n = r.len("callees-before rows")?;
-    let mut callees_before = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        let m = r.len("callees-before entries")?;
-        let mut callees = Vec::with_capacity(m.min(65536));
-        for _ in 0..m {
-            callees.push(FuncId(r.uvarint()? as u32));
-        }
-        callees_before.push(callees);
-    }
-    let n = r.len("access sites")?;
-    let mut accesses = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        accesses.push(read_access_site(r)?);
-    }
-    let releases = r.uvarint()?;
-    let n = r.len("call sites")?;
-    let mut call_sites = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        call_sites.push((StmtId(r.uvarint()? as u32), FuncId(r.uvarint()? as u32)));
-    }
-    let n = r.len("spawn sites")?;
-    let mut spawn_sites = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        spawn_sites.push((
-            StmtId(r.uvarint()? as u32),
-            FuncId(r.uvarint()? as u32),
-            r.bool()?,
-        ));
-    }
-    let n = r.len("acquire sites")?;
-    let mut acquire_sites = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        acquire_sites.push((StmtId(r.uvarint()? as u32), LockId(r.uvarint()? as u32)));
-    }
-    Ok(mcr_analysis::FuncRaceSummary {
-        stmt_count,
-        lock_top,
-        locksets,
-        spawn_before,
-        callees_before,
-        accesses,
-        releases,
-        call_sites,
-        spawn_sites,
-        acquire_sites,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

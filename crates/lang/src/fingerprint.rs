@@ -1,11 +1,9 @@
-//! Function-granular content fingerprints over the IR.
+//! Content fingerprints over the IR, built from per-function leaves.
 //!
 //! The content-addressed caches in `mcr-core` key every artifact on what
-//! the program *is*, not where it came from. Keying on a whole-program
-//! hash defeats fleet-scale caching, though: one edited function changes
-//! the hash and invalidates every artifact of every other function. This
-//! module therefore fingerprints at the unit the caches actually want —
-//! the function:
+//! the program *is*, not where it came from: every phase key chains off
+//! [`program_fingerprint`]. The fingerprint is assembled from the
+//! function up:
 //!
 //! * [`function_fingerprint`] hashes one [`Function`] in isolation. It
 //!   folds in the complete `#[derive(Hash)]` field stream (name, body,
@@ -106,8 +104,7 @@ pub fn function_fingerprint(func: &Function) -> u128 {
 ///
 /// Editing k functions of an N-function program changes exactly k
 /// leaves (see [`function_fingerprint`]) plus this root; the other
-/// N − k leaves are bit-identical across the two revisions, which is
-/// what lets function-granular caches survive program edits.
+/// N − k leaves are bit-identical across the two revisions.
 pub fn program_fingerprint(program: &Program) -> u128 {
     let mut h = Fnv128::new();
     h.update(PROGRAM_DOMAIN);

@@ -17,7 +17,7 @@
 //! [`FleetSpec::dedup_key`], so a consumer stresses each *distinct* spec
 //! once and clones the dump across its duplicates.
 
-use crate::bugs::{all_bugs, bug_by_name, BugSpec};
+use crate::bugs::{all_bugs, BugSpec};
 use mcr_vm::SplitMix64;
 
 /// One fleet job description: which bug, which input recipe, and how
@@ -83,84 +83,6 @@ pub fn fleet_mix(bugs: &[BugSpec], copies: usize, seed: u64) -> Vec<FleetSpec> {
 /// [`fleet_mix`] over the whole Table 2 suite.
 pub fn fleet_corpus(copies: usize, seed: u64) -> Vec<FleetSpec> {
     fleet_mix(&all_bugs(), copies, seed)
-}
-
-/// One revision of the [`fleet_recompile`] corpus: a complete program
-/// source plus which functions this revision edited relative to the
-/// previous one.
-#[derive(Debug, Clone)]
-pub struct RecompileSpec {
-    /// Revision name ("rev3").
-    pub name: String,
-    /// The full MiniCC source of this revision.
-    pub source: String,
-    /// Names of the functions edited versus the previous revision
-    /// (empty for the base revision).
-    pub edited: Vec<String>,
-    /// Revision number, 0 for the base.
-    pub revision: usize,
-}
-
-/// A *recompile-heavy* revision stream: the corpus function-granular
-/// caching is built for.
-///
-/// Every revision is the `mysql-3` bug program extended with `helpers`
-/// uncalled helper functions `h0..h{helpers-1}`; each revision after the
-/// base edits the constant inside `edits_per_rev` seeded-chosen helpers
-/// and leaves everything else byte-identical. Because the edits touch
-/// neither executed code nor shared state, one stress dump found on the
-/// base revision is valid for *every* revision — which makes the stream
-/// cheap to drive — while each revision still changes the program
-/// fingerprint and exactly `edits_per_rev` function fingerprints. A
-/// function-granular cache replaying the stream should therefore
-/// recompute `2 × edits_per_rev` units per revision (one compile + one
-/// analysis unit per edited function) and hit on every other function.
-pub fn fleet_recompile(
-    helpers: usize,
-    revisions: usize,
-    edits_per_rev: usize,
-    seed: u64,
-) -> Vec<RecompileSpec> {
-    let base = bug_by_name("mysql-3").expect("suite bug");
-    let mut rng = SplitMix64::new(seed ^ 0x2EC0_4411);
-    // Evolving helper constants; editing helper h means bumping its
-    // constant, so revisions accumulate (no two revisions of a helper
-    // collide on content).
-    let mut consts: Vec<i64> = (0..helpers as i64).map(|i| i + 1).collect();
-    let mut specs = Vec::with_capacity(revisions);
-    for rev in 0..revisions {
-        let edited: Vec<String> = if rev == 0 {
-            Vec::new()
-        } else {
-            let mut picked: Vec<usize> = Vec::new();
-            while picked.len() < edits_per_rev.min(helpers) {
-                let h = rng.next_range(0, helpers as i64 - 1) as usize;
-                if !picked.contains(&h) {
-                    picked.push(h);
-                }
-            }
-            for &h in &picked {
-                consts[h] += 1 + rng.next_range(0, 7);
-            }
-            picked.sort_unstable();
-            picked.iter().map(|h| format!("h{h}")).collect()
-        };
-        // Helpers are appended after `main` so the base functions keep
-        // their ids; they assign an existing global but are never
-        // called, so the failure behavior is untouched.
-        let helpers_src: String = consts
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("    fn h{i}() {{ lookups = {c}; }}\n"))
-            .collect();
-        specs.push(RecompileSpec {
-            name: format!("rev{rev}"),
-            source: format!("{}\n{}", base.source, helpers_src),
-            edited,
-            revision: rev,
-        });
-    }
-    specs
 }
 
 /// A deterministic *arrival stream* over a job mix, for driving a
@@ -285,55 +207,6 @@ mod tests {
         // Exact size is reported up front.
         let stream = fleet_stream(&bugs, 2, 9);
         assert_eq!(stream.len(), mix.len());
-    }
-
-    #[test]
-    fn recompile_stream_edits_exactly_k_functions_per_revision() {
-        let specs = fleet_recompile(8, 5, 1, 11);
-        let again = fleet_recompile(8, 5, 1, 11);
-        assert_eq!(specs.len(), 5);
-        for (a, b) in specs.iter().zip(&again) {
-            assert_eq!(a.source, b.source, "deterministic per seed");
-            assert_eq!(a.edited, b.edited);
-        }
-        assert!(
-            specs[0].edited.is_empty(),
-            "the base revision edits nothing"
-        );
-        let programs: Vec<mcr_lang::Program> = specs
-            .iter()
-            .map(|s| mcr_lang::compile(&s.source).expect("revisions compile"))
-            .collect();
-        let base_funcs = programs[0].funcs.len();
-        for (prev, (next, spec)) in programs.iter().zip(programs.iter().zip(&specs).skip(1)) {
-            assert_eq!(
-                next.funcs.len(),
-                base_funcs,
-                "no functions appear or vanish"
-            );
-            // Exactly the named helpers' fingerprints move.
-            let moved: Vec<String> = prev
-                .funcs
-                .iter()
-                .zip(&next.funcs)
-                .filter(|(a, b)| {
-                    mcr_lang::function_fingerprint(a) != mcr_lang::function_fingerprint(b)
-                })
-                .map(|(_, b)| b.name.clone())
-                .collect();
-            assert_eq!(moved, spec.edited, "{}", spec.name);
-            assert_eq!(moved.len(), 1);
-            // Statement layout is identical, so one dump serves all
-            // revisions.
-            for (a, b) in prev.funcs.iter().zip(&next.funcs) {
-                assert_eq!(a.body.len(), b.body.len());
-            }
-        }
-        // Every revision is a distinct program.
-        let mut roots: Vec<u128> = programs.iter().map(mcr_lang::program_fingerprint).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        assert_eq!(roots.len(), programs.len());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use mcr_batch::{Fleet, FleetConfig, FleetJob};
 use mcr_core::{
-    program_fingerprint, ArtifactStore, BytesStore, CompiledPlanArtifact, FuncUnitStats,
-    MemoryStore, Phase, PhaseEvent, ReproReport, ReproSession, Reproducer, ShardedStore, PHASES,
+    ArtifactStore, BytesStore, MemoryStore, Phase, PhaseEvent, ReproReport, ReproSession,
+    Reproducer, ShardedStore, StoreStats, PHASES,
 };
 use mcr_search::Algorithm;
 use mcr_slice::Strategy;
@@ -15,6 +15,18 @@ use mcr_testsupport::{
 };
 use mcr_workloads::all_bugs;
 use std::sync::Arc;
+
+/// The store rows no session ever touches: the retired `Compile` kind
+/// and the in-process `StaticRace` pre-phase.
+fn assert_pre_phase_rows_zero(stats: &StoreStats, context: &str) {
+    for phase in [Phase::Compile, Phase::StaticRace] {
+        assert_eq!(
+            stats.phase(phase),
+            mcr_core::PhaseStats::default(),
+            "{context}: {phase} row"
+        );
+    }
+}
 
 /// Bit-identity including timings (valid when `b` was rehydrated from
 /// artifacts `a`'s run stored — cached artifacts embed the original
@@ -133,8 +145,8 @@ fn sharded_store_warm_runs_match_the_single_store_for_every_bug() {
         single.for_each_entry(|key, bytes| sharded.put(key, bytes));
         assert_eq!(
             sharded.stats().entries,
-            PHASES.len() + 2 * program.funcs.len(),
-            "{}: five phase artifacts plus one compile and one analysis unit per function",
+            PHASES.len(),
+            "{}: exactly the five phase artifacts",
             bug.name
         );
 
@@ -171,16 +183,11 @@ fn sharded_store_warm_runs_match_the_single_store_for_every_bug() {
             &format!("{} sharded vs single warm", bug.name),
         );
         // Each key routed to exactly one shard; the shards together
-        // served the five phase lookups plus the per-function plan-unit
-        // rehydrations (a fully-warm run never resolves the analysis,
-        // so its units are never fetched).
+        // served exactly the five phase lookups.
         let shard_hits: u64 = sharded.shards().iter().map(|s| s.stats().hits).sum();
-        assert_eq!(
-            shard_hits,
-            (PHASES.len() + program.funcs.len()) as u64,
-            "{}",
-            bug.name
-        );
+        assert_eq!(shard_hits, PHASES.len() as u64, "{}", bug.name);
+        assert_pre_phase_rows_zero(&single.stats(), bug.name);
+        assert_pre_phase_rows_zero(&sharded.stats(), bug.name);
     }
 }
 
@@ -273,136 +280,29 @@ fn fleet_mixing_distinct_bugs_matches_solo_runs() {
 
 /// `ReproOptions::store` plumbs caching through the one-call
 /// `Reproducer` API too — a service does not need the session layer to
-/// benefit.
+/// benefit. A cold run writes exactly the five phase artifacts and a
+/// warm run hits exactly those five, with or without the static race
+/// analysis (which runs in-process and is never stored).
 #[test]
 fn reproducer_with_store_caches_across_calls() {
     let bug = mcr_workloads::bug_by_name("mysql-5").unwrap();
     let (program, sf) = stress_bug(&bug);
     let input = bug.default_input();
-    let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
-    let mut opts = options(Algorithm::ChessX, Strategy::Temporal);
-    opts.store = Some(Arc::clone(&store));
-    let reproducer = Reproducer::new(&program, opts);
-    let first = reproducer.reproduce(&sf.dump, &input).unwrap();
-    let before = store.stats();
-    let cold_inserts = (5 + program.funcs.len()) as u64;
-    assert_eq!(
-        before.inserts, cold_inserts,
-        "five phases plus one plan unit per function (the reproducer \
-         seeds the analysis, so no analysis units are written)"
-    );
-    let second = reproducer.reproduce(&sf.dump, &input).unwrap();
-    let after = store.stats();
-    assert_eq!(after.inserts, cold_inserts, "second run inserted nothing");
-    assert_eq!(
-        after.hits,
-        before.hits + cold_inserts,
-        "second run was all hits"
-    );
-    assert_reports_identical(&first, &second, "reproducer warm");
-}
-
-/// The dispatch-plan cache (the `Phase::Compile` pre-phase): segmented
-/// into per-function units keyed by function fingerprint, an identical
-/// program rehydrates every unit bit-identically — and the assembled
-/// plan equals a whole-program compile — while mutating one function
-/// moves exactly that function's key and recompiles exactly one unit.
-#[test]
-fn dispatch_plan_cache_rehydrates_and_invalidates_by_fingerprint() {
-    let (program, sf) = mcr_testsupport::fig1_failure();
-    let input = mcr_testsupport::FIG1_INPUT;
-    let opts = options(Algorithm::ChessX, Strategy::Temporal);
-    let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
-    let funcs = program.funcs.len() as u64;
-
-    // Cold: the pre-phase compiles and caches one plan unit per
-    // function.
-    let mut cold = ReproSession::new(&program, sf.dump.clone(), &input, opts.clone()).unwrap();
-    cold.set_store(Arc::clone(&store));
-    cold.run_phase(Phase::Compile).unwrap();
-    let keys = cold.compile_unit_keys();
-    assert_eq!(keys.len() as u64, funcs, "one unit key per function");
-    assert_eq!(store.stats().phase(Phase::Compile).inserts, funcs);
-    // The cached units rehydrate and assemble into exactly the bytes a
-    // fresh whole-program compile serializes to.
-    let units: Vec<mcr_vm::FunctionPlan> = keys
-        .iter()
-        .map(|key| {
-            let artifact = CompiledPlanArtifact::from_bytes(&store.get(key).expect("unit cached"))
-                .expect("artifact decodes");
-            mcr_vm::FunctionPlan::from_bytes(&artifact.plan_bytes).expect("unit decodes")
-        })
-        .collect();
-    assert_eq!(
-        mcr_vm::DispatchPlan::assemble(&units).to_bytes(),
-        mcr_vm::DispatchPlan::compile(&program).to_bytes(),
-        "assembled units are bit-identical to a whole-program compile"
-    );
-
-    // Warm: an identical program in a fresh session rehydrates every
-    // unit without recompiling, and the stored bytes are untouched.
-    let mut warm = ReproSession::new(&program, sf.dump.clone(), &input, opts.clone()).unwrap();
-    warm.set_store(Arc::clone(&store));
-    warm.run_phase(Phase::Compile).unwrap();
-    let compile_stats = store.stats().phase(Phase::Compile);
-    assert_eq!(
-        compile_stats.inserts, funcs,
-        "identical program never recompiles"
-    );
-    assert!(
-        compile_stats.hits >= funcs,
-        "warm session rehydrated every unit"
-    );
-    assert_eq!(
-        warm.function_unit_stats(),
-        FuncUnitStats {
-            compile_hits: funcs,
-            ..FuncUnitStats::default()
-        },
-        "the warm session accounted one unit hit per function"
-    );
-
-    // Mutate one function: only its fingerprint (and key) move, so
-    // exactly one unit is recompiled — the rest rehydrate.
-    let mutated_src =
-        mcr_testsupport::FIG1.replace("fn T2() { x = 0; }", "fn T2() { x = 0; x = 0; }");
-    let mutated = mcr_lang::compile(&mutated_src).expect("mutated source compiles");
-    assert_ne!(
-        program_fingerprint(&program),
-        program_fingerprint(&mutated),
-        "one mutated function must change the program fingerprint"
-    );
-    let mut miss = ReproSession::new(&mutated, sf.dump.clone(), &input, opts).unwrap();
-    miss.set_store(Arc::clone(&store));
-    let mutated_keys = miss.compile_unit_keys();
-    let moved: Vec<usize> = keys
-        .iter()
-        .zip(&mutated_keys)
-        .enumerate()
-        .filter(|(_, (a, b))| a != b)
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(moved, vec![2], "only T2's unit key moves");
-    miss.run_phase(Phase::Compile).unwrap();
-    assert_eq!(
-        store.stats().phase(Phase::Compile).inserts,
-        funcs + 1,
-        "the fingerprint miss recompiled exactly one unit"
-    );
-    assert_eq!(
-        miss.function_unit_stats(),
-        FuncUnitStats {
-            compile_hits: funcs - 1,
-            compile_computed: 1,
-            ..FuncUnitStats::default()
-        },
-        "unedited functions rehydrated, the edited one recompiled"
-    );
-    let mutated_artifact =
-        CompiledPlanArtifact::from_bytes(&store.get(&mutated_keys[2]).unwrap()).unwrap();
-    assert_eq!(
-        mcr_vm::FunctionPlan::from_bytes(&mutated_artifact.plan_bytes).unwrap(),
-        mcr_vm::FunctionPlan::compile(&mutated.funcs[2]),
-        "the recompiled unit is the mutated function's own"
-    );
+    for static_race in [false, true] {
+        let context = format!("static_race = {static_race}");
+        let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
+        let mut opts = options(Algorithm::ChessX, Strategy::Temporal);
+        opts.store = Some(Arc::clone(&store));
+        opts.static_race = static_race;
+        let reproducer = Reproducer::new(&program, opts);
+        let first = reproducer.reproduce(&sf.dump, &input).unwrap();
+        let before = store.stats();
+        assert_eq!(before.inserts, 5, "{context}: exactly the five phases");
+        let second = reproducer.reproduce(&sf.dump, &input).unwrap();
+        let after = store.stats();
+        assert_eq!(after.inserts, 5, "{context}: second run inserted nothing");
+        assert_eq!(after.hits, before.hits + 5, "{context}: five hits");
+        assert_pre_phase_rows_zero(&after, &context);
+        assert_reports_identical(&first, &second, &context);
+    }
 }

@@ -262,8 +262,8 @@ proptest! {
 }
 
 /// A small multi-function program parameterized by one constant per
-/// function — the unit of "editing function i" in the function-granular
-/// caching properties below.
+/// function — the unit of "editing function i" in the fingerprint
+/// property below.
 fn multi_fn_source(consts: &[i64]) -> String {
     let mut s = String::from("global x: int;\nglobal y: int;\n");
     for (i, c) in consts.iter().enumerate() {
@@ -283,9 +283,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Single-function-edit isolation: editing one function moves
-    /// exactly that function's fingerprint, compile-unit bytes, and
-    /// function-scoped phase keys — every other function's identity is
-    /// bit-stable — while the program's Merkle root always moves.
+    /// exactly that function's fingerprint — every other function's
+    /// fingerprint is bit-stable — while the program's Merkle root (the
+    /// program fingerprint every phase key chains off) always moves.
     #[test]
     fn single_function_edit_isolates_its_own_units(
         n in 2usize..6,
@@ -313,59 +313,7 @@ proptest! {
                 "function {} fingerprint stability",
                 i
             );
-            prop_assert_eq!(
-                mcr_vm::FunctionPlan::compile(bf).to_bytes()
-                    == mcr_vm::FunctionPlan::compile(ef).to_bytes(),
-                same,
-                "function {} unit bytes stability",
-                i
-            );
-            for phase in [mcr_core::Phase::Compile, mcr_core::Phase::Index] {
-                let bk = mcr_core::PhaseKey::derive_for_function(
-                    mcr_core::function_fingerprint(bf),
-                    phase,
-                );
-                let ek = mcr_core::PhaseKey::derive_for_function(
-                    mcr_core::function_fingerprint(ef),
-                    phase,
-                );
-                prop_assert_eq!(
-                    bk == ek,
-                    same,
-                    "function {} {:?} key stability",
-                    i,
-                    phase
-                );
-            }
         }
-    }
-
-    /// Segmented-plan rehydration: for arbitrary multi-function
-    /// programs, serializing every function's plan unit, decoding it
-    /// back, and assembling the rehydrated units is bit-identical to
-    /// the whole-program compile.
-    #[test]
-    fn segmented_plan_rehydration_is_bit_identical(
-        consts in proptest::collection::vec(0i64..1_000, 1..8),
-    ) {
-        let program = mcr_lang::compile(&multi_fn_source(&consts)).unwrap();
-        let units: Vec<mcr_vm::FunctionPlan> = program
-            .funcs
-            .iter()
-            .map(|f| {
-                let unit = mcr_vm::FunctionPlan::compile(f);
-                let bytes = unit.to_bytes();
-                let rehydrated =
-                    mcr_vm::FunctionPlan::from_bytes(&bytes).expect("unit decodes");
-                assert_eq!(unit, rehydrated, "unit round-trip");
-                rehydrated
-            })
-            .collect();
-        prop_assert_eq!(
-            mcr_vm::DispatchPlan::assemble(&units).to_bytes(),
-            mcr_vm::DispatchPlan::compile(&program).to_bytes(),
-            "assembled rehydrated units must equal the whole-program compile"
-        );
     }
 }
 

@@ -432,13 +432,14 @@ proptest! {
     }
 }
 
-/// The dispatch-plan pre-phase under a fleet of near-duplicate jobs:
-/// one compile per *distinct function* fleet-wide (duplicates rehydrate
-/// the shared per-function plan units), and a program with one mutated
-/// function is a fingerprint miss for exactly that unit — the other
-/// functions' units are shared with the original program.
+/// Store traffic of a service fleet of near-duplicate jobs, with the
+/// static race analysis on: the duplicates write exactly the five phase
+/// artifacts of one pipeline, a warm session hits exactly those five,
+/// a program with one mutated function is a distinct pipeline (five
+/// more entries), and the `Compile` and `StaticRace` rows stay zero
+/// throughout — neither kind is ever stored.
 #[test]
-fn fleet_compiles_each_distinct_program_once() {
+fn fleet_stores_each_distinct_pipeline_once() {
     let (program, sf) = fig1_failure();
     // Prepare the mutant up front (it must outlive the service): one
     // function body changed, same observable race.
@@ -451,8 +452,19 @@ fn fleet_compiles_each_distinct_program_once() {
         mcr_testsupport::FIXTURE_MAX_STEPS,
     )
     .expect("mutated race still fires under stress");
+    let mut opts = repro_options(Algorithm::ChessX, Strategy::Temporal);
+    opts.static_race = true;
 
     let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
+    let pre_phase_rows_zero = |context: &str| {
+        for phase in [Phase::Compile, Phase::StaticRace] {
+            assert_eq!(
+                store.stats().phase(phase),
+                mcr_core::PhaseStats::default(),
+                "{context}: {phase} row"
+            );
+        }
+    };
     let service = TriageService::new(FleetConfig {
         store: Arc::clone(&store),
         ..FleetConfig::default()
@@ -460,12 +472,10 @@ fn fleet_compiles_each_distinct_program_once() {
     let tickets: Vec<_> = (0..3)
         .map(|i| {
             service
-                .submit(FleetJob::new(
-                    format!("dup#{i}"),
-                    &program,
-                    sf.dump.clone(),
-                    &FIG1_INPUT,
-                ))
+                .submit(
+                    FleetJob::new(format!("dup#{i}"), &program, sf.dump.clone(), &FIG1_INPUT)
+                        .with_options(opts.clone()),
+                )
                 .expect("unbounded admission")
         })
         .collect();
@@ -473,27 +483,29 @@ fn fleet_compiles_each_distinct_program_once() {
     for ticket in tickets {
         assert!(ticket.wait().result.is_ok());
     }
-    let funcs = program.funcs.len() as u64;
-    let compile = store.stats().phase(Phase::Compile);
-    assert_eq!(
-        compile.inserts, funcs,
-        "one plan unit per distinct function"
-    );
-    assert!(
-        compile.hits >= funcs,
-        "duplicate jobs rehydrated the shared plan units"
-    );
+    assert_eq!(store.stats().inserts, 5, "one pipeline's five artifacts");
+    pre_phase_rows_zero("duplicates");
+
+    let before = store.stats();
+    let mut warm =
+        mcr_core::ReproSession::new(&program, sf.dump.clone(), &FIG1_INPUT, opts.clone())
+            .expect("a failure dump");
+    warm.set_store(Arc::clone(&store));
+    warm.run_to_end().expect("warm run");
+    let after = store.stats();
+    assert_eq!(after.hits - before.hits, 5, "warm session hits the five");
+    assert_eq!(after.misses, before.misses, "warm session misses nothing");
+    assert_eq!(after.inserts, 5, "warm session writes nothing");
 
     let mutant_ticket = service
-        .submit(FleetJob::new("mutant", &mutated, msf.dump, &FIG1_INPUT))
+        .submit(FleetJob::new("mutant", &mutated, msf.dump, &FIG1_INPUT).with_options(opts))
         .expect("unbounded admission");
     service.drain();
     assert!(mutant_ticket.wait().result.is_ok());
-    let compile = store.stats().phase(Phase::Compile);
     assert_eq!(
-        compile.inserts,
-        funcs + 1,
-        "only the mutated function recompiles — its siblings' units are \
-         shared with the original program"
+        store.stats().inserts,
+        10,
+        "the mutant is a distinct program: its own five artifacts"
     );
+    pre_phase_rows_zero("mutant");
 }
