@@ -13,11 +13,7 @@
 //!   [`AdmissionPolicy`] tied to the shared [`minipool::Limit`] executor
 //!   budget: `submit` can reject with [`AdmitError::Saturated`] (the
 //!   [`SubmitError`] hands the job back, so retries rebuild nothing),
-//!   block until capacity frees up, or — with
-//!   [`AdmissionPolicy::Adaptive`] — close the telemetry loop: consult
-//!   the shared store's live eviction/churn counters and route exactly
-//!   the jobs whose predicted artifact footprint would evict hot
-//!   entries to a cold shard ([`FleetConfig::cold_store`]) instead;
+//!   or block until capacity frees up;
 //! * **ticket-based retrieval** — [`JobTicket::wait`] blocks for (and
 //!   helps drive) one job's [`JobOutcome`]; [`JobTicket::try_outcome`]
 //!   polls without blocking;
@@ -99,6 +95,7 @@ use mcr_lang::Program;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -204,27 +201,6 @@ pub enum AdmissionPolicy {
         /// Saturation threshold, in pending (queued + live) jobs.
         max_pending: usize,
     },
-    /// Telemetry-driven admission: block like [`AdmissionPolicy::Block`]
-    /// at `max_pending`, and additionally watch the shared store's
-    /// [`StoreStats`] at every admission. While the hot store is
-    /// *churning* — lifetime evictions exceed `churn_permille`‰ of
-    /// lifetime inserts — any job whose predicted artifact footprint
-    /// (the per-phase mean artifact sizes the fleet's telemetry has
-    /// recorded, summed over the phases a fresh job inserts) is at
-    /// least the hot store's average resident entry is *shed*: opened
-    /// against [`FleetConfig::cold_store`] instead, so it cannot evict
-    /// hot entries other jobs are about to rehydrate. Shedding is pure
-    /// cache placement — the shed job's [`ReproReport`] is bit-identical
-    /// to what an [`AdmissionPolicy::Unbounded`] run produces. Without a
-    /// configured cold store the policy degrades to plain blocking
-    /// back-pressure.
-    Adaptive {
-        /// Saturation threshold, in pending (queued + live) jobs.
-        max_pending: usize,
-        /// Eviction-per-insert churn threshold, in per mille (e.g. 250
-        /// sheds once more than a quarter of inserts evicted something).
-        churn_permille: u32,
-    },
 }
 
 /// Why [`TriageService::submit`] refused a job.
@@ -304,13 +280,6 @@ pub struct FleetConfig {
     pub cancel: CancelToken,
     /// Back-pressure applied by [`TriageService::submit`].
     pub admission: AdmissionPolicy,
-    /// Optional cold shard for [`AdmissionPolicy::Adaptive`]: jobs the
-    /// admission telemetry predicts would churn the hot store are opened
-    /// against this store instead. `None` disables shedding (adaptive
-    /// admission then degrades to pure blocking back-pressure). Shedding
-    /// never changes a report — only which store caches the job's
-    /// artifacts.
-    pub cold_store: Option<Arc<dyn ArtifactStore>>,
 }
 
 impl Default for FleetConfig {
@@ -320,7 +289,6 @@ impl Default for FleetConfig {
             store: Arc::new(MemoryStore::unbounded()),
             cancel: CancelToken::new(),
             admission: AdmissionPolicy::Unbounded,
-            cold_store: None,
         }
     }
 }
@@ -377,8 +345,6 @@ pub struct FleetSummary {
     /// Phase units deduplicated while in flight (followers of a
     /// same-key leader in the same wave).
     pub deduped_in_flight: u64,
-    /// Jobs the adaptive admission policy shed to the cold store.
-    pub shed: u64,
     /// Scheduling waves the fleet ran.
     pub waves: u64,
     /// Worker-thread budget the fleet ran with.
@@ -465,9 +431,6 @@ struct QueuedJob<'p> {
     input: Vec<i64>,
     options: ReproOptions,
     observer: Option<Box<dyn PhaseObserver + Send + 'p>>,
-    /// Adaptive admission decided at submit time to route this job's
-    /// artifacts to the cold store.
-    shed: bool,
 }
 
 /// One job's lifecycle inside the service.
@@ -516,8 +479,6 @@ struct Shared<'p> {
     computed: u64,
     cache_hits: u64,
     deduped: u64,
-    /// Jobs the adaptive policy shed to the cold store.
-    shed: u64,
 }
 
 /// A long-running, handle-based triage scheduler. See the [crate
@@ -525,7 +486,6 @@ struct Shared<'p> {
 /// compatibility facade.
 pub struct TriageService<'p> {
     store: Arc<dyn ArtifactStore>,
-    cold_store: Option<Arc<dyn ArtifactStore>>,
     cancel: CancelToken,
     admission: AdmissionPolicy,
     workers: usize,
@@ -654,17 +614,9 @@ impl<'p> TriageService<'p> {
             AdmissionPolicy::Block { max_pending } => AdmissionPolicy::Block {
                 max_pending: max_pending.max(1),
             },
-            AdmissionPolicy::Adaptive {
-                max_pending,
-                churn_permille,
-            } => AdmissionPolicy::Adaptive {
-                max_pending: max_pending.max(1),
-                churn_permille,
-            },
         };
         TriageService {
             store: config.store,
-            cold_store: config.cold_store,
             cancel: config.cancel,
             admission,
             workers,
@@ -682,7 +634,6 @@ impl<'p> TriageService<'p> {
                 computed: 0,
                 cache_hits: 0,
                 deduped: 0,
-                shed: 0,
             }),
             cv: Condvar::new(),
             sched: Mutex::new(()),
@@ -753,8 +704,7 @@ impl<'p> TriageService<'p> {
                     }
                     break;
                 }
-                AdmissionPolicy::Block { max_pending }
-                | AdmissionPolicy::Adaptive { max_pending, .. } => {
+                AdmissionPolicy::Block { max_pending } => {
                     if shared.pending < max_pending {
                         break;
                     }
@@ -766,13 +716,6 @@ impl<'p> TriageService<'p> {
                 }
             }
         }
-        // The adaptive policy decides cache placement at admission,
-        // from the store telemetry as of *this* submit.
-        let shed = match self.admission {
-            AdmissionPolicy::Adaptive { churn_permille, .. } => self.sheds_to_cold(churn_permille),
-            _ => false,
-        };
-        shared.shed += u64::from(shed);
         let FleetJob {
             name,
             program,
@@ -794,7 +737,6 @@ impl<'p> TriageService<'p> {
                 input,
                 options,
                 observer,
-                shed,
             }))),
         });
         shared.slots.push(Arc::clone(&slot));
@@ -805,37 +747,6 @@ impl<'p> TriageService<'p> {
             slot,
             id: seq,
         })
-    }
-
-    /// Whether the adaptive policy routes the next admitted job's
-    /// artifacts to the cold shard. Two conditions, both read from the
-    /// hot store's live [`StoreStats`]: the store must be churning
-    /// (lifetime evictions above the policy's per-mille threshold of
-    /// lifetime inserts), and the job's predicted footprint — the
-    /// per-phase mean artifact size telemetry has recorded, summed over
-    /// the phase kinds a fresh job inserts — must be at least the hot
-    /// store's average resident entry, i.e. caching it would evict
-    /// something at least as valuable as what it adds.
-    fn sheds_to_cold(&self, churn_permille: u32) -> bool {
-        if self.cold_store.is_none() {
-            return false;
-        }
-        let stats = self.store.stats();
-        if stats.inserts == 0 || stats.entries == 0 {
-            return false;
-        }
-        let churning = stats.evictions.saturating_mul(1000)
-            > stats.inserts.saturating_mul(churn_permille as u64);
-        if !churning {
-            return false;
-        }
-        let predicted: usize = stats
-            .per_phase
-            .iter()
-            .filter(|p| p.inserts > 0 && p.entries > 0)
-            .map(|p| p.bytes / p.entries)
-            .sum();
-        predicted >= stats.bytes / stats.entries
     }
 
     /// Runs at most one scheduling wave on the calling thread (a no-op
@@ -885,7 +796,6 @@ impl<'p> TriageService<'p> {
             computed: shared.computed,
             cache_hits: shared.cache_hits,
             deduped_in_flight: shared.deduped,
-            shed: shared.shed,
             waves: shared.waves,
             workers: self.workers,
             store: self.store.stats(),
@@ -983,12 +893,8 @@ impl<'p> TriageService<'p> {
                         input,
                         mut options,
                         observer,
-                        shed,
                     } = *queued;
-                    options.store = Some(match (&self.cold_store, shed) {
-                        (Some(cold), true) => Arc::clone(cold),
-                        _ => Arc::clone(&self.store),
-                    });
+                    options.store = Some(Arc::clone(&self.store));
                     options.pool = Some(self.pool.clone());
                     match ReproSession::new(program, dump, &input, options) {
                         Ok(mut session) => {
@@ -1155,7 +1061,10 @@ fn failed_outcome(slot: &Slot<'_>, err: ReproError) -> JobOutcome {
 }
 
 /// Runs one phase unit against a slot (skipping slots that finalized
-/// since the wave formed).
+/// since the wave formed). A panic inside the phase (or in the job's
+/// observer) is caught while the slot guard is still held, so it fails
+/// this job with [`ReproError::Panicked`] and poisons neither the slot
+/// nor the scheduler.
 fn run_unit(slot: &Slot<'_>, phase: Phase) {
     let mut state = slot.state.lock().expect("triage slot poisoned");
     if let SlotState::Live(live) = &mut *state {
@@ -1166,8 +1075,10 @@ fn run_unit(slot: &Slot<'_>, phase: Phase) {
             ..
         } = live.as_mut();
         let t0 = Instant::now();
-        if let Err(e) = session.run_phase(phase) {
-            *error = Some(e);
+        match std::panic::catch_unwind(AssertUnwindSafe(|| session.run_phase(phase))) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => *error = Some(e),
+            Err(_) => *error = Some(ReproError::Panicked(phase)),
         }
         *busy += t0.elapsed();
     }
@@ -1559,6 +1470,48 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_job_fails_its_own_ticket_only() {
+        #[derive(Debug)]
+        struct Explodes;
+        impl PhaseObserver for Explodes {
+            fn on_event(&mut self, _event: &PhaseEvent) {
+                panic!("observer exploded");
+            }
+        }
+        let (program, dump) = fig1_failure();
+        let solo = Reproducer::new(&program, ReproOptions::default())
+            .reproduce(&dump, &INPUT)
+            .unwrap();
+        let service = TriageService::new(FleetConfig::default());
+        let bad = service
+            .submit(
+                FleetJob::new("bad", &program, dump.clone(), &INPUT)
+                    .with_observer(Box::new(Explodes)),
+            )
+            .unwrap()
+            .wait();
+        assert!(
+            matches!(bad.result, Err(ReproError::Panicked(Phase::Index))),
+            "{:?}",
+            bad.result
+        );
+        let good = service
+            .submit(FleetJob::new("good", &program, dump, &INPUT))
+            .unwrap()
+            .wait();
+        // Equal to a solo run on everything but wall-clock timings.
+        let good = good.result.expect("healthy job completes");
+        assert_eq!(good.index, solo.index);
+        assert_eq!(good.alignment, solo.alignment);
+        assert_eq!(good.csv_locs, solo.csv_locs);
+        assert_eq!(good.diffs, solo.diffs);
+        assert_eq!(good.search.tries, solo.search.tries);
+        assert_eq!(good.search.winning, solo.search.winning);
+        let summary = service.shutdown();
+        assert_eq!((summary.completed, summary.failed), (1, 1));
+    }
+
+    #[test]
     fn zero_pending_bounds_are_clamped_to_one() {
         let (program, dump) = fig1_failure();
         // A literal zero bound would refuse all work (and livelock a
@@ -1566,10 +1519,6 @@ mod tests {
         for admission in [
             AdmissionPolicy::Reject { max_pending: 0 },
             AdmissionPolicy::Block { max_pending: 0 },
-            AdmissionPolicy::Adaptive {
-                max_pending: 0,
-                churn_permille: 250,
-            },
         ] {
             let service = TriageService::new(FleetConfig {
                 admission,
@@ -1580,77 +1529,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{admission:?} must admit one job: {e}"));
             assert!(ticket.wait().result.is_ok());
         }
-    }
-
-    #[test]
-    fn adaptive_policy_sheds_churny_jobs_to_the_cold_store() {
-        let (program, dump) = fig1_failure();
-        // A hot store far too small for one job's artifacts: every
-        // insert evicts, so the churn telemetry trips immediately.
-        let hot: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::with_capacity(64));
-        let cold: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
-        let service = TriageService::new(FleetConfig {
-            store: Arc::clone(&hot),
-            cold_store: Some(Arc::clone(&cold)),
-            admission: AdmissionPolicy::Adaptive {
-                max_pending: 8,
-                churn_permille: 250,
-            },
-            ..Default::default()
-        });
-        // Cold start: no telemetry yet, so the first job is admitted
-        // hot — and churns the 64-byte store.
-        let first = service
-            .submit(FleetJob::new("churn", &program, dump.clone(), &INPUT))
-            .unwrap()
-            .wait();
-        assert!(hot.stats().evictions > 0, "hot store must churn");
-        // The telemetry loop closes: the next job's predicted footprint
-        // would evict hot entries, so it is shed to the cold shard.
-        let second = service
-            .submit(FleetJob::new("shed", &program, dump.clone(), &INPUT))
-            .unwrap()
-            .wait();
-        let summary = service.shutdown();
-        assert_eq!(summary.shed, 1, "second job shed");
-        assert!(cold.stats().inserts > 0, "shed job cached cold");
-        // Shedding changes cache placement only — both jobs agree on
-        // every observable.
-        let (a, b) = (
-            first.result.as_ref().expect("completed"),
-            second.result.as_ref().expect("completed"),
-        );
-        assert_eq!(a.search.reproduced, b.search.reproduced);
-        assert_eq!(a.search.tries, b.search.tries);
-        assert_eq!(a.search.winning, b.search.winning);
-        assert_eq!(a.csv_paths, b.csv_paths);
-        assert_eq!(a.diffs, b.diffs);
-    }
-
-    #[test]
-    fn adaptive_without_a_cold_store_never_sheds() {
-        let (program, dump) = fig1_failure();
-        let service = TriageService::new(FleetConfig {
-            store: Arc::new(MemoryStore::with_capacity(64)),
-            admission: AdmissionPolicy::Adaptive {
-                max_pending: 8,
-                churn_permille: 250,
-            },
-            ..Default::default()
-        });
-        for i in 0..2 {
-            let outcome = service
-                .submit(FleetJob::new(
-                    format!("job-{i}"),
-                    &program,
-                    dump.clone(),
-                    &INPUT,
-                ))
-                .unwrap()
-                .wait();
-            assert!(outcome.result.is_ok());
-        }
-        assert_eq!(service.shutdown().shed, 0);
     }
 
     #[test]

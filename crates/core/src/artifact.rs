@@ -23,7 +23,7 @@ use mcr_search::{
     AnnotatedCandidate, CandidateKind, CoarseLoc, PassingRunInfo, PreemptionPoint, SearchResult,
     SharedAccess,
 };
-use mcr_slice::{RankedAccess, Trace, TraceEvent};
+use mcr_slice::{RankedAccess, Trace};
 use mcr_vm::{MemLoc, ObjId, ThreadId};
 use std::collections::HashSet;
 use std::time::Duration;
@@ -440,17 +440,6 @@ fn read_search_result(r: &mut Reader<'_>) -> Result<SearchResult, DecodeError> {
     })
 }
 
-// The trace-event byte layout is canonical in `mcr_slice` (the
-// segment-spilling sink seals frames on it); the diff artifact reuses it
-// verbatim so spilled frames and cached artifacts stay bit-identical.
-fn write_trace_event(w: &mut Writer, e: &TraceEvent) {
-    mcr_slice::write_trace_event(w, e);
-}
-
-fn read_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent, DecodeError> {
-    mcr_slice::read_trace_event(r)
-}
-
 // ---------------------------------------------------------------------
 // Artifact codecs.
 
@@ -593,7 +582,7 @@ impl DumpDeltaArtifact {
             }
             w.uvarint(self.trace.events.len() as u64);
             for e in &self.trace.events {
-                write_trace_event(w, e);
+                mcr_slice::write_trace_event(w, e);
             }
             w.duration(self.replay_elapsed);
             w.duration(self.parse_elapsed);
@@ -626,7 +615,7 @@ impl DumpDeltaArtifact {
         let n = r.len("trace events")?;
         let mut events = Vec::with_capacity(n.min(65536));
         for _ in 0..n {
-            events.push(read_trace_event(&mut r)?);
+            events.push(mcr_slice::read_trace_event(&mut r)?);
         }
         let replay_elapsed = r.duration()?;
         let parse_elapsed = r.duration()?;

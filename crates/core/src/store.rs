@@ -15,7 +15,7 @@
 //! streams of near-duplicate core dumps from the same bug pays for each
 //! distinct `(dump, input, options)` pipeline once, fleet-wide.
 //!
-//! Five stores ship here:
+//! Four stores ship here:
 //!
 //! * [`NullStore`] — caches nothing (the default of a bare session),
 //! * [`MemoryStore`] — an in-memory LRU bounded by total artifact bytes,
@@ -23,11 +23,6 @@
 //!   to one byte string on the same wire codec the session checkpoints
 //!   use, so a warm cache can be persisted or shipped between processes
 //!   like a checkpoint,
-//! * [`SegStore`] — a read-mostly store over one segmented container
-//!   ([`mcr_dump::wire::SegmentedBytes`]): entries rehydrate by byte
-//!   range on demand, verifying each fixed-size segment at most once,
-//!   so a multi-megabyte warm snapshot costs only the ranges actually
-//!   touched (the mmap-shaped backend of the streaming-artifacts layer),
 //! * [`ShardedStore`] — a composite that partitions the key space across
 //!   N inner backends by consistent hashing on the key's
 //!   [`ContentHash`], so one logical cache scales horizontally and
@@ -41,7 +36,7 @@
 //! handle (an `Arc`) is shared by every session of a fleet.
 
 use crate::observe::Phase;
-use mcr_dump::wire::{ContentHash, ContentHasher, Reader, SegmentWriter, SegmentedBytes, Writer};
+use mcr_dump::wire::{ContentHash, ContentHasher, Reader, Writer};
 use mcr_dump::DecodeError;
 use std::collections::HashMap;
 use std::fmt;
@@ -49,14 +44,6 @@ use std::sync::{Arc, Mutex};
 
 const MAGIC: &[u8; 4] = b"MCRC";
 const VERSION: u8 = 1;
-
-/// Magic prefix of a [`SegStore`] directory.
-const SEG_STORE_MAGIC: &[u8; 4] = b"MCSS";
-/// [`SegStore`] directory format version.
-const SEG_STORE_VERSION: u8 = 1;
-/// Default frame size for [`SegStore`] snapshots: one entry read touches
-/// few frames, framing overhead stays under 1%.
-pub const SEG_STORE_FRAME_SIZE: usize = 4096;
 
 /// Identity of one unit of phase work: the phase plus the content hash
 /// of everything that determines its artifact.
@@ -130,12 +117,6 @@ impl PhaseStats {
         self.entries += o.entries;
         self.bytes += o.bytes;
     }
-
-    /// Mean resident artifact size of this phase kind, or `None` when
-    /// no entries of the kind are resident.
-    pub fn mean_entry_size(&self) -> Option<usize> {
-        (self.entries > 0).then(|| self.bytes / self.entries)
-    }
 }
 
 /// Counters every store tracks; a fleet summary reports them.
@@ -189,41 +170,6 @@ impl StoreStats {
             mine.absorb(theirs);
         }
     }
-
-    /// Mean resident artifact size across the per-phase histogram
-    /// ([`StoreStats::per_phase`]), or `None` when nothing is resident.
-    ///
-    /// Computed from the histogram rows rather than the global
-    /// counters so a composite that absorbs shards with zeroed globals
-    /// still reports a usable mean.
-    pub fn mean_entry_size(&self) -> Option<usize> {
-        let (entries, bytes) = self
-            .per_phase
-            .iter()
-            .fold((0usize, 0usize), |(e, b), p| (e + p.entries, b + p.bytes));
-        (entries > 0).then(|| bytes / entries)
-    }
-}
-
-/// Frame size (bytes) to use for segmented containers serving the
-/// workload `stats` describes, derived from the measured per-phase
-/// residency histogram instead of the fixed [`SEG_STORE_FRAME_SIZE`] /
-/// `mcr_dump::DUMP_FRAME_SIZE` constants.
-///
-/// A frame near the mean entry size keeps a typical rehydration to a
-/// couple of segment touches while bounding resident bytes to roughly
-/// one artifact; the mean is clamped to `[512, 65536]` so a store full
-/// of tiny rank artifacts doesn't shred the container into thousands of
-/// frames (framing overhead) and one giant search artifact doesn't
-/// force whole-blob residency. Falls back to [`SEG_STORE_FRAME_SIZE`]
-/// when `stats` has no resident entries to measure.
-///
-/// Purely a residency/latency knob: frame size never changes decoded
-/// content, so it is excluded from phase keys and checkpoints.
-pub fn measured_frame_size(stats: &StoreStats) -> usize {
-    stats
-        .mean_entry_size()
-        .map_or(SEG_STORE_FRAME_SIZE, |mean| mean.clamp(512, 65_536))
 }
 
 /// A shared, content-addressed artifact cache.
@@ -308,18 +254,6 @@ impl MemoryStore {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, MemInner> {
         self.inner.lock().expect("artifact store poisoned")
-    }
-
-    /// Every resident entry, ordered by key — a deterministic snapshot.
-    ///
-    /// This clones every value eagerly, doubling resident bytes for the
-    /// duration; migration and measurement paths should prefer
-    /// [`MemoryStore::for_each_entry`] (borrowed values, one at a time)
-    /// or [`MemoryStore::entry_sizes`] (no values at all).
-    pub fn entries(&self) -> Vec<(PhaseKey, Vec<u8>)> {
-        let mut entries = Vec::new();
-        self.for_each_entry(|k, b| entries.push((*k, b.to_vec())));
-        entries
     }
 
     /// Visits every resident entry in key order, borrowing each value in
@@ -447,13 +381,6 @@ impl BytesStore {
         w.into_bytes()
     }
 
-    /// Snapshots the store into a [`SegStore`] container (see
-    /// [`SegStore::snapshot`]): the segmented, lazily-rehydratable
-    /// counterpart of [`BytesStore::to_bytes`].
-    pub fn to_segmented(&self, frame_size: usize) -> Vec<u8> {
-        SegStore::snapshot(&self.inner, frame_size)
-    }
-
     /// Restores a store from [`BytesStore::to_bytes`] output.
     ///
     /// # Errors
@@ -492,274 +419,6 @@ impl ArtifactStore for BytesStore {
 
     fn stats(&self) -> StoreStats {
         self.inner.stats()
-    }
-}
-
-/// Segment-level access counters of a [`SegStore`]: how many segment
-/// touches its range reads performed, and how many were first touches
-/// that had to verify the segment checksum. The difference is work the
-/// lazy representation skipped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SegAccessStats {
-    /// Segments touched by entry rehydrations (with repetition).
-    pub touches: u64,
-    /// Touches that verified a segment for the first time.
-    pub verified: u64,
-}
-
-impl SegAccessStats {
-    /// Fraction of segment touches that found the segment already
-    /// verified, in `[0, 1]` (0 when nothing was read). This is the
-    /// "segment hit rate" the streaming benchmarks report: high means
-    /// entries cluster in few segments and re-reads are near-free.
-    pub fn hit_rate(&self) -> f64 {
-        if self.touches == 0 {
-            0.0
-        } else {
-            (self.touches - self.verified) as f64 / self.touches as f64
-        }
-    }
-}
-
-#[derive(Debug)]
-struct SegInner {
-    /// Per-segment "checksum already verified" bitmap.
-    verified: Vec<bool>,
-    /// Entries written after the snapshot was taken.
-    overlay: HashMap<PhaseKey, Vec<u8>>,
-    stats: StoreStats,
-    access: SegAccessStats,
-}
-
-/// A read-mostly [`ArtifactStore`] over one segmented container.
-///
-/// The container (built by [`SegStore::snapshot`] /
-/// [`BytesStore::to_segmented`]) holds a directory (key → byte range)
-/// followed by every entry's bytes, all packaged as a
-/// [`SegmentedBytes`] stream of fixed-size checksummed frames. Opening
-/// the store parses the header/footer and the directory — O(directory),
-/// not O(snapshot) — and `get` rehydrates exactly the byte range of the
-/// requested entry, verifying each touched segment's checksum at most
-/// once across the store's lifetime (an mmap-shaped access pattern:
-/// first touch faults and validates, later touches are free).
-///
-/// `put` lands in an in-memory overlay, so a warm snapshot keeps
-/// absorbing new artifacts; the overlay is *not* part of the container
-/// (re-snapshot through a [`BytesStore`] to persist it). A corrupt
-/// segment surfaces as a cache miss, never as corrupt artifact bytes —
-/// the store is a cache, not a source of truth.
-#[derive(Debug)]
-pub struct SegStore {
-    seg: SegmentedBytes,
-    /// Payload offset where the concatenated entry bytes begin.
-    entries_base: usize,
-    directory: HashMap<PhaseKey, (usize, usize)>,
-    inner: Mutex<SegInner>,
-}
-
-impl SegStore {
-    /// Serializes every entry of `store` into a segmented container:
-    /// an 8-byte LE directory length, the directory (`MCSS` magic,
-    /// version, count, then per entry: phase tag, key hash, offset
-    /// varint, length varint), then the entry bytes back to back —
-    /// streamed through a [`SegmentWriter`] with two borrowed walks
-    /// ([`MemoryStore::entry_sizes`] + [`MemoryStore::for_each_entry`]),
-    /// so snapshotting never clones the store's values.
-    pub fn snapshot(store: &MemoryStore, frame_size: usize) -> Vec<u8> {
-        let sizes = store.entry_sizes();
-        let mut dir = Writer::new();
-        dir.raw(SEG_STORE_MAGIC);
-        dir.u8(SEG_STORE_VERSION);
-        dir.uvarint(sizes.len() as u64);
-        let mut offset = 0u64;
-        for (key, len) in &sizes {
-            dir.u8(key.phase.index() as u8);
-            dir.hash(key.hash);
-            dir.uvarint(offset);
-            dir.uvarint(*len as u64);
-            offset += *len as u64;
-        }
-        let dir = dir.into_bytes();
-        let mut w = SegmentWriter::new(frame_size);
-        w.write(&(dir.len() as u64).to_le_bytes());
-        w.write(&dir);
-        store.for_each_entry(|_, bytes| w.write(bytes));
-        w.finish().into_bytes()
-    }
-
-    /// Opens a snapshot container.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on corrupt framing or a malformed directory. Only
-    /// the segments holding the directory are checksum-verified here.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<SegStore, DecodeError> {
-        SegStore::from_segmented(SegmentedBytes::parse(bytes)?)
-    }
-
-    /// Opens an already-parsed container (see [`SegStore::from_bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on a malformed directory.
-    pub fn from_segmented(seg: SegmentedBytes) -> Result<SegStore, DecodeError> {
-        let fail = |offset: usize, msg: &str| DecodeError {
-            msg: msg.to_string(),
-            offset,
-        };
-        let total = seg.total_len() as usize;
-        if total < 8 {
-            return Err(fail(total, "segment store payload too short"));
-        }
-        let dir_len_bytes = seg.read_range(0, 8)?;
-        let dir_len = u64::from_le_bytes(dir_len_bytes.try_into().expect("8 bytes")) as usize;
-        if dir_len > total - 8 {
-            return Err(fail(0, "segment store directory overruns payload"));
-        }
-        let dir = seg.read_range(8, dir_len)?;
-        let entries_base = 8 + dir_len;
-        let entries_len = total - entries_base;
-        let mut r = Reader::new(&dir);
-        r.expect_magic(SEG_STORE_MAGIC)?;
-        let version = r.u8()?;
-        if version != SEG_STORE_VERSION {
-            return r.err(format!("unsupported segment store version {version}"));
-        }
-        let count = r.len("segment store directory")?;
-        let mut directory = HashMap::with_capacity(count.min(65536));
-        let mut stats = StoreStats::default();
-        for _ in 0..count {
-            let tag = r.u8()? as usize;
-            let Some(phase) = Phase::from_index(tag) else {
-                return r.err(format!("bad phase tag {tag}"));
-            };
-            let hash = r.hash()?;
-            let off = r.uvarint()? as usize;
-            let len = r.uvarint()? as usize;
-            if off.checked_add(len).is_none_or(|end| end > entries_len) {
-                return r.err("directory entry out of bounds");
-            }
-            let key = PhaseKey { phase, hash };
-            if directory.insert(key, (off, len)).is_some() {
-                return r.err(format!("duplicate directory key {key}"));
-            }
-            stats.entries += 1;
-            stats.bytes += len;
-            stats.per_phase[phase.index()].entries += 1;
-            stats.per_phase[phase.index()].bytes += len;
-        }
-        r.finish()?;
-        // The directory reads above already verified the leading
-        // segments; record that so entry reads near the front are hits.
-        let mut verified = vec![false; seg.segment_count()];
-        let covered = entries_base.div_ceil(seg.frame_size()).min(verified.len());
-        for v in verified.iter_mut().take(covered) {
-            *v = true;
-        }
-        Ok(SegStore {
-            seg,
-            entries_base,
-            directory,
-            inner: Mutex::new(SegInner {
-                verified,
-                overlay: HashMap::new(),
-                stats,
-                access: SegAccessStats::default(),
-            }),
-        })
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SegInner> {
-        self.inner.lock().expect("segment store poisoned")
-    }
-
-    /// Number of snapshot entries in the directory (overlay excluded).
-    pub fn snapshot_entries(&self) -> usize {
-        self.directory.len()
-    }
-
-    /// Bytes of the underlying container (what actually stays resident,
-    /// as opposed to [`StoreStats::bytes`], which reports the logical
-    /// artifact bytes the directory addresses).
-    pub fn container_len(&self) -> usize {
-        self.seg.as_bytes().len()
-    }
-
-    /// Segment-level access counters (see [`SegAccessStats`]).
-    pub fn access_stats(&self) -> SegAccessStats {
-        self.lock().access
-    }
-}
-
-impl ArtifactStore for SegStore {
-    fn get(&self, key: &PhaseKey) -> Option<Vec<u8>> {
-        let mut inner = self.lock();
-        let kind = key.phase.index();
-        if let Some(bytes) = inner.overlay.get(key) {
-            let out = bytes.clone();
-            inner.stats.hits += 1;
-            inner.stats.per_phase[kind].hits += 1;
-            return Some(out);
-        }
-        let Some(&(off, len)) = self.directory.get(key) else {
-            inner.stats.misses += 1;
-            inner.stats.per_phase[kind].misses += 1;
-            return None;
-        };
-        // Verify lazily: consult the bitmap per touched segment, but
-        // only commit first-touch verifications after the whole range
-        // read succeeds (a failed checksum must stay unverified).
-        let mut fresh = Vec::new();
-        let SegInner {
-            verified, access, ..
-        } = &mut *inner;
-        let read = self.seg.read_range_with(self.entries_base + off, len, |i| {
-            access.touches += 1;
-            if verified[i] || fresh.contains(&i) {
-                false
-            } else {
-                fresh.push(i);
-                access.verified += 1;
-                true
-            }
-        });
-        match read {
-            Ok(bytes) => {
-                for i in fresh {
-                    inner.verified[i] = true;
-                }
-                inner.stats.hits += 1;
-                inner.stats.per_phase[kind].hits += 1;
-                Some(bytes)
-            }
-            Err(_) => {
-                inner.stats.misses += 1;
-                inner.stats.per_phase[kind].misses += 1;
-                None
-            }
-        }
-    }
-
-    fn put(&self, key: &PhaseKey, bytes: &[u8]) {
-        // Identical keys carry identical bytes by construction, so an
-        // entry already addressed by the snapshot needs no overlay copy.
-        if self.directory.contains_key(key) {
-            return;
-        }
-        let mut inner = self.lock();
-        let kind = key.phase.index();
-        if inner.overlay.insert(*key, bytes.to_vec()).is_none() {
-            inner.stats.inserts += 1;
-            inner.stats.entries += 1;
-            inner.stats.bytes += bytes.len();
-            inner.stats.per_phase[kind].inserts += 1;
-            inner.stats.per_phase[kind].entries += 1;
-            inner.stats.per_phase[kind].bytes += bytes.len();
-        }
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.lock().stats
     }
 }
 
@@ -917,33 +576,6 @@ mod tests {
             a.hash,
             PhaseKey::derive(ContentHash::of(b"other basis"), Phase::Index, None).hash
         );
-    }
-
-    #[test]
-    fn measured_frame_size_tracks_the_residency_histogram() {
-        // No measurements → the fixed default.
-        let store = MemoryStore::unbounded();
-        assert_eq!(store.stats().mean_entry_size(), None);
-        assert_eq!(measured_frame_size(&store.stats()), SEG_STORE_FRAME_SIZE);
-
-        // Mean over the per-phase rows, clamped below at 512...
-        store.put(&key(Phase::Index, 1), &[0u8; 40]);
-        store.put(&key(Phase::Search, 2), &[0u8; 80]);
-        let stats = store.stats();
-        assert_eq!(stats.mean_entry_size(), Some(60));
-        assert_eq!(stats.phase(Phase::Index).mean_entry_size(), Some(40));
-        assert_eq!(stats.phase(Phase::Align).mean_entry_size(), None);
-        assert_eq!(measured_frame_size(&stats), 512);
-
-        // ...tracking the mean inside the clamp window...
-        store.put(&key(Phase::Diff, 3), &[0u8; 6000]);
-        let stats = store.stats();
-        assert_eq!(stats.mean_entry_size(), Some(2040));
-        assert_eq!(measured_frame_size(&stats), 2040);
-
-        // ...and clamped above at 64 KiB.
-        store.put(&key(Phase::Search, 4), &[0u8; 1 << 20]);
-        assert_eq!(measured_frame_size(&store.stats()), 65_536);
     }
 
     #[test]
@@ -1156,13 +788,14 @@ mod tests {
     #[test]
     fn entry_walks_agree_with_materialized_entries() {
         let store = MemoryStore::unbounded();
+        let mut materialized = Vec::new();
         for s in 0..12u8 {
-            store.put(
-                &key(PHASES[(s % 5) as usize], s),
-                &vec![s; (s as usize + 1) * 3],
-            );
+            let k = key(PHASES[(s % 5) as usize], s);
+            let bytes = vec![s; (s as usize + 1) * 3];
+            store.put(&k, &bytes);
+            materialized.push((k, bytes));
         }
-        let materialized = store.entries();
+        materialized.sort_unstable();
         let mut walked = Vec::new();
         store.for_each_entry(|k, b| walked.push((*k, b.to_vec())));
         assert_eq!(walked, materialized);
@@ -1173,121 +806,5 @@ mod tests {
                 .map(|(k, b)| (*k, b.len()))
                 .collect::<Vec<_>>()
         );
-    }
-
-    fn seeded_store(n: u8, entry_bytes: usize) -> MemoryStore {
-        let store = MemoryStore::unbounded();
-        for s in 0..n {
-            store.put(
-                &key(PHASES[(s % 5) as usize], s),
-                &vec![s.wrapping_mul(17); entry_bytes],
-            );
-        }
-        store
-    }
-
-    #[test]
-    fn seg_store_rehydrates_entries_by_range() {
-        let source = seeded_store(16, 600);
-        let blob = SegStore::snapshot(&source, 256);
-        let seg = SegStore::from_bytes(blob.clone()).unwrap();
-        assert_eq!(seg.snapshot_entries(), 16);
-        assert_eq!(seg.stats().entries, 16);
-        assert_eq!(seg.stats().bytes, 16 * 600);
-        // Every entry rehydrates byte-identical to the source.
-        source.for_each_entry(|k, b| {
-            assert_eq!(seg.get(k).as_deref(), Some(b), "{k}");
-        });
-        // Determinism: the snapshot is canonical.
-        assert_eq!(SegStore::snapshot(&source, 256), blob);
-        // Rehydrating everything verified each payload segment once;
-        // a second full pass is all segment hits.
-        let first = seg.access_stats();
-        assert!(first.touches >= first.verified);
-        source.for_each_entry(|k, _| {
-            seg.get(k);
-        });
-        let second = seg.access_stats();
-        assert_eq!(second.verified, first.verified, "no re-verification");
-        assert!(second.hit_rate() > first.hit_rate());
-        assert_eq!(seg.stats().hits, 32);
-    }
-
-    #[test]
-    fn seg_store_verifies_lazily_and_fails_closed() {
-        let source = seeded_store(32, 500);
-        let blob = SegStore::snapshot(&source, 256);
-        let seg = SegStore::from_bytes(blob.clone()).unwrap();
-        // One entry read touches a sliver of the container.
-        let (k, _) = source.entries().pop().unwrap();
-        assert!(seg.get(&k).is_some());
-        let touched = seg.access_stats().verified as usize;
-        assert!(
-            touched * 256 < blob.len() / 4,
-            "one entry must not verify most of the container ({touched} segments)"
-        );
-        // Flip a byte deep in the entries region: opening still works
-        // (lazy), the corrupt entry reads as a miss, others still hit.
-        let mut corrupt = blob.clone();
-        let at = blob.len() * 3 / 4;
-        corrupt[at] ^= 0x20;
-        match SegStore::from_bytes(corrupt) {
-            // The flip may land on framing metadata, which fails parse.
-            Err(_) => {}
-            Ok(store) => {
-                let mut hits = 0;
-                let mut misses = 0;
-                source.for_each_entry(|k, b| match store.get(k) {
-                    Some(got) => {
-                        assert_eq!(got, b, "a hit must be byte-identical");
-                        hits += 1;
-                    }
-                    None => misses += 1,
-                });
-                assert!(misses >= 1, "corrupt segment must surface as a miss");
-                assert!(hits >= 1, "untouched segments must still hit");
-            }
-        }
-        // Truncations of the container never open.
-        for cut in (0..blob.len()).step_by(37) {
-            assert!(
-                SegStore::from_bytes(blob[..cut].to_vec()).is_err(),
-                "cut {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn seg_store_overlay_absorbs_new_entries() {
-        let source = seeded_store(4, 100);
-        let seg = SegStore::from_bytes(SegStore::snapshot(&source, 128)).unwrap();
-        let fresh = key(Phase::Search, 99);
-        assert_eq!(seg.get(&fresh), None);
-        seg.put(&fresh, b"new artifact");
-        assert_eq!(seg.get(&fresh).as_deref(), Some(b"new artifact".as_ref()));
-        // Re-putting a snapshot-resident key is a no-op, not a copy.
-        let (resident, bytes) = source.entries().remove(0);
-        seg.put(&resident, &bytes);
-        let stats = seg.stats();
-        assert_eq!(stats.entries, 5);
-        assert_eq!(stats.inserts, 1);
-        assert!(seg.is_caching());
-    }
-
-    #[test]
-    fn bytes_store_to_segmented_round_trips() {
-        let store = BytesStore::new();
-        store.put(&key(Phase::Index, 1), b"one");
-        store.put(&key(Phase::Diff, 2), &[7u8; 2000]);
-        let seg = SegStore::from_bytes(store.to_segmented(SEG_STORE_FRAME_SIZE)).unwrap();
-        assert_eq!(
-            seg.get(&key(Phase::Index, 1)).as_deref(),
-            Some(b"one".as_ref())
-        );
-        assert_eq!(
-            seg.get(&key(Phase::Diff, 2)).as_deref(),
-            Some([7u8; 2000].as_ref())
-        );
-        assert_eq!(seg.stats().entries, 2);
     }
 }

@@ -44,10 +44,10 @@ pub mod dump;
 pub mod refpath;
 pub mod wire;
 
-pub use codec::{decode, decode_segmented, encode, encode_segmented, DecodeError, DUMP_FRAME_SIZE};
+pub use codec::{decode, encode, DecodeError};
 pub use diff::{DumpDiff, ValueDiff};
 pub use dump::{CoreDump, DumpReason, FrameImage, ThreadImage};
 pub use refpath::{
     reachable_vars, resolve_loc, PathRoot, PathValue, RefPath, ResolvedVar, TraverseLimits, VarMap,
 };
-pub use wire::{ContentHash, ContentHasher, SegmentWriter, SegmentedBytes};
+pub use wire::{ContentHash, ContentHasher};

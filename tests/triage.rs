@@ -243,73 +243,6 @@ fn admission_saturation_shutdown_and_empty_drain() {
     assert_eq!(again.jobs, 1);
 }
 
-/// The telemetry→admission loop end to end: a service whose hot store
-/// churns sheds every later job to the warm cold shard, and each shed
-/// job's report is bit-identical — timings included — to the
-/// closed-list baseline that populated that shard. Shedding changes
-/// cache placement, never results.
-#[test]
-fn adaptive_shed_jobs_rehydrate_bit_identically_from_the_cold_shard() {
-    let (base_reports, warm) = baseline();
-    let fx = fixtures();
-    // A hot store far too small for one job's artifacts: every insert
-    // evicts, so the churn telemetry trips after the first job.
-    let hot: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::with_capacity(64));
-    let service = TriageService::new(FleetConfig {
-        store: Arc::clone(&hot),
-        cold_store: Some(Arc::clone(warm)),
-        admission: AdmissionPolicy::Adaptive {
-            max_pending: fx.len().max(1),
-            churn_permille: 250,
-        },
-        ..FleetConfig::default()
-    });
-
-    // Cold start: no telemetry yet, so the first job computes against
-    // the hot store — and churns it.
-    let first = service
-        .submit(
-            FleetJob::new(fx[0].name, &fx[0].program, fx[0].dump.clone(), &fx[0].input)
-                .with_options(options()),
-        )
-        .expect("within the adaptive bound")
-        .wait();
-    assert_reports_equal(
-        first.result.as_ref().expect("first job completed"),
-        &base_reports[0],
-        &format!("{} hot vs closed", fx[0].name),
-    );
-    assert!(hot.stats().evictions > 0, "hot store must churn");
-
-    // The loop closes: every later admission sheds to the cold shard
-    // and rehydrates its entire pipeline from the baseline's artifacts.
-    for (i, f) in fx.iter().enumerate().skip(1) {
-        let outcome = service
-            .submit(
-                FleetJob::new(f.name, &f.program, f.dump.clone(), &f.input).with_options(options()),
-            )
-            .expect("within the adaptive bound")
-            .wait();
-        let report = outcome
-            .result
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{}: shed job failed: {e}", f.name));
-        assert_eq!(
-            report, &base_reports[i],
-            "{}: shed run must be bit-identical to the baseline",
-            f.name
-        );
-        assert_eq!(outcome.cache_hits, 5, "{}: all phases warm", f.name);
-        assert_eq!(outcome.computed, 0, "{}: nothing recomputed", f.name);
-    }
-    let summary = service.shutdown();
-    assert_eq!(
-        summary.shed as usize,
-        fx.len() - 1,
-        "every job after the churny first one shed"
-    );
-}
-
 /// Cancellation mid-run: a queued-but-unstarted ticket is marked
 /// `Cancelled` (not lost), and the live job is interrupted — every
 /// ticket resolves.
