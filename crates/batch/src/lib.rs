@@ -110,8 +110,9 @@ pub struct FleetJob<'p> {
     pub dump: CoreDump,
     /// The failing input.
     pub input: Vec<i64>,
-    /// Per-job pipeline options (budgets included). The fleet overrides
-    /// the `store` and `pool` attachments with its shared ones.
+    /// Per-job pipeline options, the search's try cap and cutoff
+    /// included. The fleet overrides the `store` and `pool` attachments
+    /// with its shared ones.
     pub options: ReproOptions,
     /// Scheduling priority: lower runs earlier within each wave.
     pub priority: u32,
@@ -1277,7 +1278,10 @@ mod tests {
         });
         fleet.push(FleetJob::new("late", &program, dump.clone(), &INPUT).with_priority(9));
         // A *distinct* unit (different options → different keys).
-        let opts = ReproOptions::builder().trace_window(1_000_000).build();
+        let opts = ReproOptions {
+            trace_window: 1_000_000,
+            ..Default::default()
+        };
         fleet.push(
             FleetJob::new("early", &program, dump.clone(), &INPUT)
                 .with_options(opts)

@@ -22,7 +22,9 @@
 //! `BENCH_search.json` so successive PRs leave a measurable trajectory.
 
 use mcr_core::{find_failure_cfg, find_failure_par, ReproOptions, Reproducer, RunConfig};
-use mcr_search::{find_schedule, worklist_size, Algorithm, SearchConfig, SearchResult};
+use mcr_search::{
+    find_schedule, worklist_size, Algorithm, CancelToken, SearchConfig, SearchResult,
+};
 use mcr_slice::Strategy;
 use mcr_vm::{run, DeterministicScheduler, MemModel, NullObserver, Outcome, Vm};
 use mcr_workloads::{all_bugs, fault_bugs, EnvRequirement};
@@ -217,17 +219,14 @@ impl SearchFixture {
     /// Runs one search with the given algorithm and parallelism.
     pub fn search(&self, algorithm: Algorithm, parallelism: usize) -> SearchResult {
         let fresh = Vm::new(&self.program, &self.input);
-        let config = SearchConfig {
-            parallelism,
-            ..Default::default()
-        };
         find_schedule(
             &fresh,
-            &self.candidates,
-            &self.future,
+            (&self.candidates, &self.future),
             self.failure,
             algorithm,
-            &config,
+            &SearchConfig::default(),
+            &minipool::Pool::new(parallelism),
+            &CancelToken::new(),
         )
     }
 }

@@ -14,9 +14,13 @@
 //! * [`Reproducer::reproduce`] — one blocking call, dump in, report out;
 //! * [`ReproSession`] — the same pipeline as a staged, resumable state
 //!   machine whose phases produce serializable artifacts, with progress
-//!   observation ([`PhaseObserver`]), cancellation
-//!   ([`CancelToken`]), per-phase budgets ([`PhaseBudget`]), and
-//!   checkpoint/resume across processes.
+//!   observation ([`PhaseObserver`]), cancellation ([`CancelToken`]),
+//!   and checkpoint/resume across processes.
+//!
+//! Each bound lives in one place in [`ReproOptions`]: the step cap of
+//! the passing run and replay in [`ReproOptions::max_steps`], and the
+//! search's try cap, wall-clock cutoff and per-try step cap in
+//! [`ReproOptions::search`].
 //!
 //! The five phases are implementations of the generic [`PipelinePhase`]
 //! trait and the session is a thin driver over them; each phase unit is
@@ -83,18 +87,14 @@ pub use observe::{
     NullPhaseObserver, Phase, PhaseEvent, PhaseObserver, TimingLog, PHASES, PHASE_KINDS,
 };
 pub use phase::{AlignPhase, DiffPhase, IndexPhase, PipelinePhase, RankPhase, SearchPhase};
-pub use pipeline::{
-    has_sync_points, AlignMode, PhaseBudget, PhaseBudgets, ReproError, ReproOptions,
-    ReproOptionsBuilder, ReproReport, ReproTimings, Reproducer,
-};
+pub use pipeline::{AlignMode, ReproError, ReproOptions, ReproReport, ReproTimings, Reproducer};
 pub use session::ReproSession;
 pub use store::{
     program_fingerprint, ArtifactStore, BytesStore, MemoryStore, NullStore, PhaseKey, PhaseStats,
     ShardedStore, StoreStats,
 };
 pub use stress::{
-    find_failure, find_failure_cfg, find_failure_par, find_failure_par_cancellable,
-    find_failure_par_cfg, find_failure_pool, passes_deterministically,
+    find_failure, find_failure_cfg, find_failure_par, passes_deterministically,
     passes_deterministically_cfg, RunConfig, StressFailure,
 };
 

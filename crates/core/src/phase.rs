@@ -4,10 +4,12 @@
 //! unit struct implementing [`PipelinePhase`]: a *typed* phase with an
 //! input artifact (`Input`, the upstream phase's output), an output
 //! artifact (`Artifact`), a wire codec ([`PipelinePhase::encode`] /
-//! [`PipelinePhase::decode`]), a per-phase budget hook
-//! ([`PipelinePhase::budget`]), and a compute body that observes the
-//! session's [`CancelToken`] and reports through
-//! its [`PhaseObserver`](crate::PhaseObserver).
+//! [`PipelinePhase::decode`]), and a compute body that observes the
+//! session's [`CancelToken`](mcr_search::CancelToken) and reports
+//! through its [`PhaseObserver`](crate::PhaseObserver). A phase is
+//! bounded by the options it reads: the passing run and the replay by
+//! [`ReproOptions::max_steps`](crate::ReproOptions::max_steps), the
+//! search by [`ReproOptions::search`](crate::ReproOptions::search).
 //!
 //! [`ReproSession`] is a thin driver over these implementations (see
 //! [`ReproSession::run`]): it resolves prerequisites, derives the
@@ -26,13 +28,13 @@ use crate::artifact::{
     SearchArtifact,
 };
 use crate::observe::{Phase, PhaseEvent};
-use crate::pipeline::{AlignMode, PhaseBudget, ReproError};
+use crate::pipeline::{AlignMode, ReproError};
 use crate::session::ReproSession;
 use mcr_dump::{
     reachable_vars, resolve_loc, CoreDump, DecodeError, DumpDiff, DumpReason, ResolvedVar,
 };
 use mcr_index::{AlignSignal, Aligner, Alignment};
-use mcr_search::{annotate_with_race, find_schedule, CancelToken, SearchConfig};
+use mcr_search::{annotate_with_race, find_schedule};
 use mcr_slice::{backward_slice, rank_csv_accesses, Strategy, TraceCollector};
 use mcr_vm::{run_until, DeterministicScheduler, MemLoc, Outcome, Tee, ThreadId};
 use std::collections::{HashMap, HashSet};
@@ -90,13 +92,8 @@ pub trait PipelinePhase: sealed::Sealed {
     /// Stores a produced (or rehydrated) artifact in the session.
     fn install(session: &mut ReproSession<'_>, artifact: Self::Artifact);
 
-    /// The wall-clock/step budget configured for this phase.
-    fn budget(session: &ReproSession<'_>) -> Option<PhaseBudget> {
-        session.options().budgets.get(Self::PHASE)
-    }
-
     /// Whether a freshly computed artifact may enter the store. Partial
-    /// results — a cancelled or budget-cut search — must not poison the
+    /// results — a cancelled or cut-off search — must not poison the
     /// cache, since a later run with a larger budget would rehydrate
     /// them as if complete.
     fn cacheable(_artifact: &Self::Artifact) -> bool {
@@ -105,82 +102,12 @@ pub trait PipelinePhase: sealed::Sealed {
 
     /// Runs the phase. Implementations emit their own
     /// `Started`/`Stage`/`Finished`/`Interrupted` events and honor the
-    /// session's cancel token and this phase's budget.
+    /// session's cancel token.
     ///
     /// # Errors
     ///
     /// See [`ReproError`].
     fn compute(session: &mut ReproSession<'_>) -> Result<Self::Artifact, ReproError>;
-}
-
-/// How many interruption polls share one `Instant::now()` read inside
-/// the align/diff step loops (cancellation is checked on every poll —
-/// an atomic load — only the wall clock is cached).
-const WALL_POLL_PERIOD: u32 = 256;
-
-/// Polls cancellation and a phase's wall-clock budget from inside a
-/// `run_until` stop predicate.
-struct Interrupt {
-    cancel: CancelToken,
-    deadline: Option<Instant>,
-    polls: u32,
-    expired: bool,
-}
-
-impl Interrupt {
-    fn new(cancel: CancelToken, budget: Option<PhaseBudget>) -> Interrupt {
-        Interrupt {
-            cancel,
-            deadline: budget
-                .and_then(|b| b.wall)
-                .map(|wall| Instant::now() + wall),
-            polls: 0,
-            expired: false,
-        }
-    }
-
-    /// Whether the phase should stop now. Called once per VM step.
-    fn fired(&mut self) -> bool {
-        if self.cancel.is_cancelled() {
-            return true;
-        }
-        if self.expired {
-            return true;
-        }
-        let Some(deadline) = self.deadline else {
-            return false;
-        };
-        let n = self.polls;
-        self.polls = n.wrapping_add(1);
-        if !n.is_multiple_of(WALL_POLL_PERIOD) {
-            return false;
-        }
-        self.expired = Instant::now() >= deadline;
-        self.expired
-    }
-
-    /// Converts an interruption into the phase's error (cancellation
-    /// wins over budget expiry when both hold).
-    fn error(&self, phase: Phase) -> ReproError {
-        if self.cancel.is_cancelled() {
-            ReproError::Cancelled(phase)
-        } else {
-            ReproError::BudgetExhausted(phase)
-        }
-    }
-
-    fn interrupted(&self) -> bool {
-        self.cancel.is_cancelled() || self.expired
-    }
-}
-
-/// Step cap for a phase: the options default, tightened by the phase
-/// budget when one is set.
-fn effective_steps(default: u64, budget: Option<PhaseBudget>) -> u64 {
-    match budget.and_then(|b| b.max_steps) {
-        Some(cap) => default.min(cap),
-        None => default,
-    }
 }
 
 /// Phase 1: reverse engineering the failure's execution index (§3.2,
@@ -282,9 +209,8 @@ impl PipelinePhase for AlignPhase {
         s.emit(PhaseEvent::Started {
             phase: Phase::Align,
         });
-        let budget = Self::budget(s);
-        let max_steps = effective_steps(s.options.max_steps, budget);
-        let mut guard = Interrupt::new(s.cancel.clone(), budget);
+        let max_steps = s.options.max_steps;
+        let cancel = s.cancel.clone();
 
         let t0 = Instant::now();
         let mut vm = s.new_vm();
@@ -299,13 +225,15 @@ impl PipelinePhase for AlignPhase {
                         b: &mut logger,
                     };
                     let mut sched = DeterministicScheduler::new();
-                    run_until(&mut vm, &mut sched, &mut tee, max_steps, |_| guard.fired())
+                    run_until(&mut vm, &mut sched, &mut tee, max_steps, |_| {
+                        cancel.is_cancelled()
+                    })
                 };
-                if guard.interrupted() {
+                if cancel.is_cancelled() {
                     s.emit(PhaseEvent::Interrupted {
                         phase: Phase::Align,
                     });
-                    return Err(guard.error(Phase::Align));
+                    return Err(ReproError::Cancelled(Phase::Align));
                 }
                 let deterministic =
                     matches!(outcome, Outcome::Crashed(f) if f.same_bug(&s.failure));
@@ -322,7 +250,7 @@ impl PipelinePhase for AlignPhase {
                 let mut aligned_at: Option<u64> = None;
                 let mut scanning = true;
                 let outcome = run_until(&mut vm, &mut sched, &mut logger, max_steps, |vm| {
-                    if guard.fired() {
+                    if cancel.is_cancelled() {
                         return true;
                     }
                     if scanning {
@@ -346,11 +274,11 @@ impl PipelinePhase for AlignPhase {
                     }
                     false
                 });
-                if guard.interrupted() {
+                if cancel.is_cancelled() {
                     s.emit(PhaseEvent::Interrupted {
                         phase: Phase::Align,
                     });
-                    return Err(guard.error(Phase::Align));
+                    return Err(ReproError::Cancelled(Phase::Align));
                 }
                 // If the run ended before the scan concluded, align at
                 // the point the count was reached (or the end).
@@ -414,9 +342,7 @@ impl PipelinePhase for DiffPhase {
 
     fn compute(s: &mut ReproSession<'_>) -> Result<Self::Artifact, ReproError> {
         s.emit(PhaseEvent::Started { phase: Phase::Diff });
-        let budget = Self::budget(s);
-        let max_steps = effective_steps(s.options.max_steps, budget);
-        let mut guard = Interrupt::new(s.cancel.clone(), budget);
+        let cancel = s.cancel.clone();
         let alignment = Self::input(s).expect("align ran").alignment;
         let focus = s.failure_dump.focus;
 
@@ -427,13 +353,17 @@ impl PipelinePhase for DiffPhase {
         {
             let mut sched = DeterministicScheduler::new();
             let stop_after = alignment.step;
-            run_until(&mut replay, &mut sched, &mut collector, max_steps, |vm| {
-                guard.fired() || vm.steps() > stop_after
-            });
+            run_until(
+                &mut replay,
+                &mut sched,
+                &mut collector,
+                s.options.max_steps,
+                |vm| cancel.is_cancelled() || vm.steps() > stop_after,
+            );
         }
-        if guard.interrupted() {
+        if cancel.is_cancelled() {
             s.emit(PhaseEvent::Interrupted { phase: Phase::Diff });
-            return Err(guard.error(Phase::Diff));
+            return Err(ReproError::Cancelled(Phase::Diff));
         }
         let aligned_focus = if (focus.0 as usize) < replay.threads().len() {
             focus
@@ -649,31 +579,21 @@ impl PipelinePhase for SearchPhase {
             let (candidates, future) =
                 annotate_with_race(&align.passing_run, &csv_set, &priorities, s.race_verdicts());
             let fresh = s.new_vm();
-            let budget = Self::budget(s);
-            let mut search_config = SearchConfig {
-                parallelism: s.options.parallelism.max(1),
-                cancel: s.cancel.clone(),
-                // The session-level executor handle (a fleet's shared
-                // pool) wins over one set directly on the search config.
-                pool: s.options.pool.clone().or(s.options.search.pool.clone()),
-                ..s.options.search.clone()
-            };
-            if let Some(b) = budget {
-                if let Some(wall) = b.wall {
-                    search_config.time_budget =
-                        Some(search_config.time_budget.map_or(wall, |t| t.min(wall)));
-                }
-                if let Some(steps) = b.max_steps {
-                    search_config.max_steps = search_config.max_steps.min(steps);
-                }
-            }
+            // The session-level executor handle (a fleet's shared pool)
+            // wins over a private pool of `parallelism` workers.
+            let executor = s
+                .options
+                .pool
+                .clone()
+                .unwrap_or_else(|| minipool::Pool::new(s.options.parallelism));
             let result = find_schedule(
                 &fresh,
-                &candidates,
-                &future,
+                (&candidates, &future),
                 s.failure,
                 s.options.algorithm,
-                &search_config,
+                &s.options.search,
+                &executor,
+                &s.cancel,
             );
             (result, t0.elapsed())
         };

@@ -6,10 +6,8 @@
 //! [`ReproSession`] — see [`crate::session`]. This module holds
 //! everything around it:
 //!
-//! * [`ReproOptions`] (with [`ReproOptions::builder`]) — strategy,
-//!   alignment mode, search algorithm and budgets,
-//! * [`PhaseBudget`]/[`PhaseBudgets`] — per-phase wall-clock and step
-//!   caps,
+//! * [`ReproOptions`] — strategy, alignment mode, search algorithm and
+//!   the bounds of the passing run, replay and search,
 //! * [`ReproError`] — everything that can interrupt a reproduction,
 //! * [`ReproReport`]/[`ReproTimings`] — the final report (feeds the
 //!   paper's Tables 3–6),
@@ -26,7 +24,7 @@ use crate::session::ReproSession;
 use mcr_analysis::ProgramAnalysis;
 use mcr_dump::{CoreDump, DecodeError, RefPath, TraverseLimits};
 use mcr_index::{Alignment, ExecutionIndex};
-use mcr_lang::{Inst, Program};
+use mcr_lang::Program;
 use mcr_search::{Algorithm, SearchConfig, SearchResult};
 use mcr_slice::Strategy;
 use mcr_vm::{MemLoc, ThreadId};
@@ -52,87 +50,31 @@ pub enum AlignMode {
     InstructionCount,
 }
 
-/// A wall-clock and/or step cap for one phase of a session.
-///
-/// Budgets are enforced where the pipeline actually loops: the passing
-/// run ([`Phase::Align`]), the replay ([`Phase::Diff`]), and the schedule
-/// search ([`Phase::Search`]). The `Index` and `Rank` phases are one-shot
-/// computations — for them only the cancellation check at phase entry
-/// applies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseBudget {
-    /// Cap on VM steps (align/diff) or per-try steps (search); `None`
-    /// leaves the [`ReproOptions`] default in force.
-    pub max_steps: Option<u64>,
-    /// Wall-clock cap; exceeding it interrupts align/diff with
-    /// [`ReproError::BudgetExhausted`] and cuts the search off with a
-    /// partial result.
-    pub wall: Option<Duration>,
-}
-
-impl PhaseBudget {
-    /// A budget with only a wall-clock cap.
-    pub fn wall(d: Duration) -> PhaseBudget {
-        PhaseBudget {
-            wall: Some(d),
-            ..Default::default()
-        }
-    }
-
-    /// A budget with only a step cap.
-    pub fn steps(n: u64) -> PhaseBudget {
-        PhaseBudget {
-            max_steps: Some(n),
-            ..Default::default()
-        }
-    }
-}
-
-/// Optional per-phase budgets (see [`PhaseBudget`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseBudgets {
-    /// Budget for [`Phase::Index`].
-    pub index: Option<PhaseBudget>,
-    /// Budget for [`Phase::Align`].
-    pub align: Option<PhaseBudget>,
-    /// Budget for [`Phase::Diff`].
-    pub diff: Option<PhaseBudget>,
-    /// Budget for [`Phase::Rank`].
-    pub rank: Option<PhaseBudget>,
-    /// Budget for [`Phase::Search`].
-    pub search: Option<PhaseBudget>,
-}
-
-impl PhaseBudgets {
-    /// The budget configured for `phase`, if any. The retired `Compile`
-    /// kind and the `StaticRace` pre-phase are never budgeted (the race
-    /// analysis is microseconds and infallible).
-    pub fn get(&self, phase: Phase) -> Option<PhaseBudget> {
-        match phase {
-            Phase::Index => self.index,
-            Phase::Align => self.align,
-            Phase::Diff => self.diff,
-            Phase::Rank => self.rank,
-            Phase::Search => self.search,
-            Phase::Compile | Phase::StaticRace => None,
-        }
-    }
-
-    /// Sets the budget for `phase` (ignored for the unbudgetable
-    /// `Compile` and `StaticRace` kinds).
-    pub fn set(&mut self, phase: Phase, budget: PhaseBudget) {
-        match phase {
-            Phase::Index => self.index = Some(budget),
-            Phase::Align => self.align = Some(budget),
-            Phase::Diff => self.diff = Some(budget),
-            Phase::Rank => self.rank = Some(budget),
-            Phase::Search => self.search = Some(budget),
-            Phase::Compile | Phase::StaticRace => {}
-        }
-    }
-}
-
 /// Reproduction options.
+///
+/// Built with struct-update syntax over the defaults:
+///
+/// ```
+/// use mcr_core::ReproOptions;
+/// use mcr_search::SearchConfig;
+/// use mcr_slice::Strategy;
+/// use std::time::Duration;
+///
+/// let options = ReproOptions {
+///     strategy: Strategy::Dependence,
+///     search: SearchConfig {
+///         time_budget: Some(Duration::from_secs(60)),
+///         ..Default::default()
+///     },
+///     ..Default::default()
+/// };
+/// assert_eq!(options.strategy, Strategy::Dependence);
+/// ```
+///
+/// Every value bounds or shapes the result except three runtime
+/// attachments — [`parallelism`](ReproOptions::parallelism),
+/// [`store`](ReproOptions::store) and [`pool`](ReproOptions::pool) —
+/// which checkpoints do not serialize and phase keys do not cover.
 #[derive(Debug, Clone)]
 pub struct ReproOptions {
     /// CSV access prioritization strategy.
@@ -141,22 +83,26 @@ pub struct ReproOptions {
     pub align_mode: AlignMode,
     /// Search algorithm.
     pub algorithm: Algorithm,
-    /// Schedule search configuration.
+    /// Schedule search configuration: the try cap, wall-clock cutoff and
+    /// per-try step cap that bound the search phase.
     pub search: SearchConfig,
     /// Dependence-trace window (events).
     pub trace_window: usize,
-    /// Step cap for the passing run and replay.
+    /// Step cap for the passing run ([`Phase::Align`]) and the replay
+    /// ([`Phase::Diff`]).
     pub max_steps: u64,
     /// Traversal limits for dump reachability.
     pub limits: TraverseLimits,
-    /// Worker threads for the schedule search (overrides
-    /// `search.parallelism`). Defaults to the machine's available cores;
-    /// `1` preserves the exact serial behavior. Results are deterministic
-    /// either way — the parallel search selects the lowest-worklist-index
-    /// winner (see [`SearchConfig::parallelism`]).
+    /// Worker threads for the schedule search when no
+    /// [`pool`](ReproOptions::pool) is attached. Defaults to the
+    /// machine's available cores; `1` runs the exact serial loop.
+    /// Results are deterministic either way — the parallel search
+    /// selects the lowest-worklist-index winner (see
+    /// [`find_schedule`](mcr_search::find_schedule)) — so, like `store`
+    /// and `pool`, this is a runtime attachment: not serialized in
+    /// checkpoints (a resumed session takes the resuming process's
+    /// default) and not part of phase keys.
     pub parallelism: usize,
-    /// Per-phase wall-clock/step budgets.
-    pub budgets: PhaseBudgets,
     /// Content-addressed artifact store consulted before every phase
     /// (see [`ArtifactStore`](crate::ArtifactStore)): a phase whose
     /// [`PhaseKey`](crate::PhaseKey) hits the store is skipped and its
@@ -208,133 +154,12 @@ impl Default for ReproOptions {
             max_steps: 50_000_000,
             limits: TraverseLimits::default(),
             parallelism: minipool::available_parallelism(),
-            budgets: PhaseBudgets::default(),
             store: None,
             pool: None,
             mem_model: mcr_vm::MemModel::Sc,
             faults: Vec::new(),
             static_race: false,
         }
-    }
-}
-
-impl ReproOptions {
-    /// A builder over the defaults:
-    ///
-    /// ```
-    /// use mcr_core::{PhaseBudget, Phase, ReproOptions};
-    /// use mcr_slice::Strategy;
-    /// use std::time::Duration;
-    ///
-    /// let options = ReproOptions::builder()
-    ///     .strategy(Strategy::Dependence)
-    ///     .parallelism(1)
-    ///     .budget(Phase::Search, PhaseBudget::wall(Duration::from_secs(60)))
-    ///     .build();
-    /// assert_eq!(options.strategy, Strategy::Dependence);
-    /// ```
-    pub fn builder() -> ReproOptionsBuilder {
-        ReproOptionsBuilder {
-            options: ReproOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`ReproOptions`] (see [`ReproOptions::builder`]).
-#[derive(Debug, Clone)]
-pub struct ReproOptionsBuilder {
-    options: ReproOptions,
-}
-
-impl ReproOptionsBuilder {
-    /// Sets the CSV prioritization strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.options.strategy = strategy;
-        self
-    }
-
-    /// Sets the aligned-point location method.
-    pub fn align_mode(mut self, mode: AlignMode) -> Self {
-        self.options.align_mode = mode;
-        self
-    }
-
-    /// Sets the search algorithm.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.options.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the schedule-search configuration.
-    pub fn search(mut self, search: SearchConfig) -> Self {
-        self.options.search = search;
-        self
-    }
-
-    /// Sets the dependence-trace window (events).
-    pub fn trace_window(mut self, events: usize) -> Self {
-        self.options.trace_window = events;
-        self
-    }
-
-    /// Sets the step cap for the passing run and replay.
-    pub fn max_steps(mut self, steps: u64) -> Self {
-        self.options.max_steps = steps;
-        self
-    }
-
-    /// Sets the dump-traversal limits.
-    pub fn limits(mut self, limits: TraverseLimits) -> Self {
-        self.options.limits = limits;
-        self
-    }
-
-    /// Sets the search worker-thread count.
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.options.parallelism = workers;
-        self
-    }
-
-    /// Sets the budget for one phase.
-    pub fn budget(mut self, phase: Phase, budget: PhaseBudget) -> Self {
-        self.options.budgets.set(phase, budget);
-        self
-    }
-
-    /// Attaches a content-addressed artifact store.
-    pub fn store(mut self, store: std::sync::Arc<dyn crate::ArtifactStore>) -> Self {
-        self.options.store = Some(store);
-        self
-    }
-
-    /// Injects a shared executor handle.
-    pub fn pool(mut self, pool: minipool::Pool) -> Self {
-        self.options.pool = Some(pool);
-        self
-    }
-
-    /// Sets the memory consistency model for every VM in the session.
-    pub fn mem_model(mut self, model: mcr_vm::MemModel) -> Self {
-        self.options.mem_model = model;
-        self
-    }
-
-    /// Sets the fault-injection plan for every VM in the session.
-    pub fn faults(mut self, faults: Vec<mcr_vm::FaultSpec>) -> Self {
-        self.options.faults = faults;
-        self
-    }
-
-    /// Enables (or disables) static-race candidate pruning and ranking
-    /// in the search phase (see [`ReproOptions::static_race`]).
-    pub fn static_race(mut self, enabled: bool) -> Self {
-        self.options.static_race = enabled;
-        self
-    }
-
-    /// Finalizes the options.
-    pub fn build(self) -> ReproOptions {
-        self.options
     }
 }
 
@@ -412,9 +237,6 @@ pub enum ReproError {
     /// The session's [`CancelToken`](mcr_search::CancelToken) fired
     /// during the named phase, before its artifact was produced.
     Cancelled(Phase),
-    /// The named phase's [`PhaseBudget`] wall clock expired before the
-    /// phase finished.
-    BudgetExhausted(Phase),
     /// The named phase panicked (in the pipeline or in an attached
     /// observer); a triage service fails only that job.
     Panicked(Phase),
@@ -430,9 +252,6 @@ impl fmt::Display for ReproError {
             }
             ReproError::Codec(e) => write!(f, "artifact decoding failed: {e}"),
             ReproError::Cancelled(p) => write!(f, "cancelled during the {p} phase"),
-            ReproError::BudgetExhausted(p) => {
-                write!(f, "phase budget exhausted during the {p} phase")
-            }
             ReproError::Panicked(p) => write!(f, "panicked during the {p} phase"),
         }
     }
@@ -465,7 +284,7 @@ impl From<DecodeError> for ReproError {
 /// This is the original blocking entry point, kept as a thin wrapper
 /// that drives a [`ReproSession`] end to end. Use [`Reproducer::session`]
 /// (or [`ReproSession::new`]) for staged execution, progress
-/// observation, per-phase budgets, and checkpoint/resume.
+/// observation, cancellation, and checkpoint/resume.
 #[derive(Debug)]
 pub struct Reproducer<'p> {
     program: &'p Program,
@@ -481,11 +300,6 @@ impl<'p> Reproducer<'p> {
             analysis: ProgramAnalysis::analyze(program),
             options,
         }
-    }
-
-    /// The per-function static analysis (shared with other phases).
-    pub fn analysis(&self) -> &ProgramAnalysis {
-        &self.analysis
     }
 
     /// Opens a staged session on a failure dump, sharing this
@@ -523,16 +337,6 @@ impl<'p> Reproducer<'p> {
     ) -> Result<ReproReport, ReproError> {
         self.session(failure_dump, input)?.run_to_end()
     }
-}
-
-/// Sanity helper used by tests and examples: does the program contain at
-/// least one synchronization statement (a prerequisite for preemption
-/// candidates to exist)?
-pub fn has_sync_points(program: &Program) -> bool {
-    program
-        .funcs
-        .iter()
-        .any(|f| f.body.iter().any(Inst::is_sync))
 }
 
 #[cfg(test)]
@@ -633,59 +437,5 @@ mod tests {
             r.reproduce(&dump, &[0, 0]),
             Err(ReproError::NotAFailureDump)
         ));
-    }
-
-    #[test]
-    fn sync_point_helper() {
-        let p = mcr_lang::compile(FIG1).unwrap();
-        assert!(has_sync_points(&p));
-        let p2 = mcr_lang::compile("fn main() { }").unwrap();
-        assert!(!has_sync_points(&p2));
-    }
-
-    #[test]
-    fn builder_sets_every_knob() {
-        let limits = TraverseLimits {
-            max_depth: 3,
-            max_paths: 99,
-        };
-        let options = ReproOptions::builder()
-            .strategy(Strategy::Dependence)
-            .align_mode(AlignMode::InstructionCount)
-            .algorithm(Algorithm::Chess)
-            .search(SearchConfig {
-                max_tries: 7,
-                ..Default::default()
-            })
-            .trace_window(1234)
-            .max_steps(5678)
-            .limits(limits)
-            .parallelism(2)
-            .budget(Phase::Search, PhaseBudget::steps(10))
-            .budget(Phase::Align, PhaseBudget::wall(Duration::from_secs(9)))
-            .store(std::sync::Arc::new(crate::store::MemoryStore::unbounded()))
-            .pool(minipool::Pool::new(3))
-            .static_race(true)
-            .build();
-        assert_eq!(options.strategy, Strategy::Dependence);
-        assert_eq!(options.align_mode, AlignMode::InstructionCount);
-        assert_eq!(options.algorithm, Algorithm::Chess);
-        assert_eq!(options.search.max_tries, 7);
-        assert_eq!(options.trace_window, 1234);
-        assert_eq!(options.max_steps, 5678);
-        assert_eq!(options.limits.max_depth, 3);
-        assert_eq!(options.parallelism, 2);
-        assert_eq!(
-            options.budgets.get(Phase::Search),
-            Some(PhaseBudget::steps(10))
-        );
-        assert_eq!(
-            options.budgets.get(Phase::Align),
-            Some(PhaseBudget::wall(Duration::from_secs(9)))
-        );
-        assert_eq!(options.budgets.get(Phase::Rank), None);
-        assert!(options.store.is_some());
-        assert_eq!(options.pool.as_ref().map(minipool::Pool::threads), Some(3));
-        assert!(options.static_race);
     }
 }

@@ -38,12 +38,14 @@
 //! session finishes to the same [`ReproReport`] the uninterrupted run
 //! produces.
 //!
-//! Long-running phases poll the session's [`CancelToken`] and the
-//! per-phase [`PhaseBudget`]s: align/diff interrupt with
-//! [`ReproError::Cancelled`]/[`ReproError::BudgetExhausted`], while the
-//! search unwinds into a *partial* [`SearchArtifact`] (its
+//! Long-running phases poll the session's [`CancelToken`]: align/diff
+//! interrupt with [`ReproError::Cancelled`], while the search unwinds
+//! into a *partial* [`SearchArtifact`] (its
 //! [`SearchResult::cancelled`](mcr_search::SearchResult::cancelled) flag
-//! set) so a service can still report how far it got.
+//! set) so a service can still report how far it got. Phases are
+//! bounded by the options they read: the passing run and replay by
+//! [`ReproOptions::max_steps`], the search by the try cap, wall-clock
+//! cutoff and per-try step cap of [`ReproOptions::search`].
 
 use crate::artifact::{
     AlignmentArtifact, DumpDeltaArtifact, FailureIndexArtifact, RankedAccessesArtifact,
@@ -51,9 +53,7 @@ use crate::artifact::{
 };
 use crate::observe::{NullPhaseObserver, Phase, PhaseEvent, PhaseObserver, PHASES};
 use crate::phase::{AlignPhase, DiffPhase, IndexPhase, PipelinePhase, RankPhase, SearchPhase};
-use crate::pipeline::{
-    AlignMode, PhaseBudget, PhaseBudgets, ReproError, ReproOptions, ReproReport, ReproTimings,
-};
+use crate::pipeline::{AlignMode, ReproError, ReproOptions, ReproReport, ReproTimings};
 use crate::store::{program_fingerprint, ArtifactStore, NullStore, PhaseKey};
 use mcr_analysis::{ProgramAnalysis, RaceAnalysis};
 use mcr_dump::wire::{ContentHash, ContentHasher, Reader, Writer};
@@ -68,7 +68,9 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"MCRS";
 // v2: options carry the memory model and fault-injection plan.
 // v3: options carry the static-race knob.
-const VERSION: u8 = 3;
+// v4: options drop the per-phase budgets and both worker counts; the
+//     options bytes are the key basis's options bytes.
+const VERSION: u8 = 4;
 
 /// The artifacts a session has produced so far.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -234,10 +236,11 @@ impl<'p> ReproSession<'p> {
     /// The session's identity hash: program fingerprint, input, failure
     /// dump, and result-relevant options, hashed on the wire encoding.
     /// Two sessions with equal bases produce bit-identical artifacts for
-    /// every phase. Parallelism knobs and runtime attachments are
-    /// deliberately excluded — results are independent of them (pinned
-    /// by the parallel-equivalence suite), so a cache populated on an
-    /// 8-core worker still hits on a 4-core one. Computed lazily.
+    /// every phase. The runtime attachments (`parallelism`, `pool`,
+    /// `store`) are deliberately excluded — results are independent of
+    /// them (pinned by the parallel-equivalence suite), so a cache
+    /// populated on an 8-core worker still hits on a 4-core one.
+    /// Computed lazily.
     pub fn basis(&self) -> ContentHash {
         if let Some(b) = self.basis.get() {
             return b;
@@ -508,8 +511,7 @@ impl<'p> ReproSession<'p> {
     /// # Errors
     ///
     /// Those of [`ReproSession::run_index`], plus
-    /// [`ReproError::NoSuchThread`], [`ReproError::Cancelled`] and
-    /// [`ReproError::BudgetExhausted`].
+    /// [`ReproError::NoSuchThread`] and [`ReproError::Cancelled`].
     pub fn run_align(&mut self) -> Result<&AlignmentArtifact, ReproError> {
         self.run::<AlignPhase>()
     }
@@ -596,8 +598,9 @@ impl<'p> ReproSession<'p> {
     /// Serializes the whole session — options, input, failure dump, and
     /// every artifact produced so far — to bytes. The compiled program
     /// is *not* included; supply it again to [`ReproSession::resume`].
-    /// (The artifact store and executor handle are process-local
-    /// runtime attachments and are likewise not serialized.)
+    /// (The runtime attachments — worker count, executor handle and
+    /// artifact store — are process-local and likewise not serialized;
+    /// a resumed session takes the resuming process's defaults.)
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.raw(MAGIC);
@@ -678,8 +681,8 @@ impl<'p> ReproSession<'p> {
 }
 
 /// Hashes the session identity — program fingerprint (memoized by the
-/// caller), failing input, failure dump, and result-relevant options —
-/// on the wire encoding.
+/// caller), failing input, failure dump, and the options bytes the
+/// checkpoint carries — on the wire encoding.
 fn session_basis(
     program_fp: ContentHash,
     input: &[i64],
@@ -691,7 +694,7 @@ fn session_basis(
     for v in input {
         w.ivarint(*v);
     }
-    write_key_options(&mut w, options);
+    write_options(&mut w, options);
     let mut h = ContentHasher::new();
     h.update(b"MCRB1");
     h.update(&program_fp.to_le_bytes());
@@ -700,18 +703,9 @@ fn session_basis(
     h.finish128()
 }
 
-/// The options bytes that enter a session's key basis: like
-/// [`write_options`] but *excluding* the worker counts
-/// (`ReproOptions::parallelism`, `SearchConfig::parallelism`). The
-/// parallel-equivalence suite pins that results are independent of
-/// worker count, so folding it into keys would only break cache sharing
-/// between machines with different core counts (a shipped
-/// [`BytesStore`](crate::BytesStore) snapshot would silently never
-/// hit). Checkpoints still serialize the full options via
-/// [`write_options`].
 /// Serializes the execution environment (memory model + fault plan).
-/// Shared between the checkpoint codec and the key basis: both must see
-/// it — a schedule found under TSO or with injected faults is only
+/// Part of the options bytes, so of both the checkpoint and the key
+/// basis — a schedule found under TSO or with injected faults is only
 /// meaningful in that same environment.
 fn write_env(w: &mut Writer, o: &ReproOptions) {
     match o.mem_model {
@@ -755,42 +749,6 @@ fn read_env(r: &mut Reader<'_>) -> Result<(MemModel, Vec<FaultSpec>), DecodeErro
     Ok((mem_model, faults))
 }
 
-fn write_key_options(w: &mut Writer, o: &ReproOptions) {
-    write_env(w, o);
-    w.bool(o.static_race);
-    w.u8(match o.strategy {
-        Strategy::Temporal => 0,
-        Strategy::Dependence => 1,
-    });
-    w.u8(match o.align_mode {
-        AlignMode::ExecutionIndex => 0,
-        AlignMode::InstructionCount => 1,
-    });
-    w.u8(match o.algorithm {
-        Algorithm::Chess => 0,
-        Algorithm::ChessX => 1,
-    });
-    w.uvarint(o.search.preemption_bound as u64);
-    w.uvarint(o.search.max_tries);
-    w.opt_duration(o.search.time_budget);
-    w.uvarint(o.search.max_steps);
-    w.uvarint(o.search.pair_pool as u64);
-    w.uvarint(o.trace_window as u64);
-    w.uvarint(o.max_steps);
-    w.uvarint(o.limits.max_depth as u64);
-    w.uvarint(o.limits.max_paths as u64);
-    for phase in crate::observe::PHASES {
-        match o.budgets.get(phase) {
-            None => w.bool(false),
-            Some(b) => {
-                w.bool(true);
-                w.opt_uvarint(b.max_steps);
-                w.opt_duration(b.wall);
-            }
-        }
-    }
-}
-
 fn write_artifact<T>(w: &mut Writer, artifact: &Option<T>, to_bytes: impl Fn(&T) -> Vec<u8>) {
     match artifact {
         None => w.bool(false),
@@ -816,10 +774,11 @@ fn read_artifact<T>(
     })
 }
 
-/// Serializes the options' *semantic* knobs (runtime attachments — the
-/// cancel token, artifact store, and executor handle — are
-/// process-local and excluded; they also do not contribute to session
-/// bases, so attaching a store never changes a phase key).
+/// Serializes the options' *semantic* values: everything except the
+/// runtime attachments (`parallelism`, `pool`, `store`), which are
+/// process-local and leave results unchanged. The same bytes enter the
+/// checkpoint and the session basis, so attaching a store or changing
+/// the worker count never changes a phase key.
 fn write_options(w: &mut Writer, o: &ReproOptions) {
     write_env(w, o);
     w.bool(o.static_race);
@@ -840,22 +799,10 @@ fn write_options(w: &mut Writer, o: &ReproOptions) {
     w.opt_duration(o.search.time_budget);
     w.uvarint(o.search.max_steps);
     w.uvarint(o.search.pair_pool as u64);
-    w.uvarint(o.search.parallelism as u64);
     w.uvarint(o.trace_window as u64);
     w.uvarint(o.max_steps);
     w.uvarint(o.limits.max_depth as u64);
     w.uvarint(o.limits.max_paths as u64);
-    w.uvarint(o.parallelism as u64);
-    for phase in crate::observe::PHASES {
-        match o.budgets.get(phase) {
-            None => w.bool(false),
-            Some(b) => {
-                w.bool(true);
-                w.opt_uvarint(b.max_steps);
-                w.opt_duration(b.wall);
-            }
-        }
-    }
 }
 
 fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
@@ -882,11 +829,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
         time_budget: r.opt_duration()?,
         max_steps: r.uvarint()?,
         pair_pool: r.uvarint()? as usize,
-        parallelism: r.uvarint()? as usize,
-        // The token is process-local state; a resumed session gets a
-        // fresh one. Likewise the executor handle.
-        cancel: CancelToken::new(),
-        pool: None,
     };
     let trace_window = r.uvarint()? as usize;
     let max_steps = r.uvarint()?;
@@ -894,19 +836,7 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
         max_depth: r.uvarint()? as usize,
         max_paths: r.uvarint()? as usize,
     };
-    let parallelism = r.uvarint()? as usize;
-    let mut budgets = PhaseBudgets::default();
-    for phase in crate::observe::PHASES {
-        if r.bool()? {
-            budgets.set(
-                phase,
-                PhaseBudget {
-                    max_steps: r.opt_uvarint()?,
-                    wall: r.opt_duration()?,
-                },
-            );
-        }
-    }
+    // The runtime attachments take the resuming process's defaults.
     Ok(ReproOptions {
         strategy,
         align_mode,
@@ -915,13 +845,10 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
         trace_window,
         max_steps,
         limits,
-        parallelism,
-        budgets,
-        store: None,
-        pool: None,
         mem_model,
         faults,
         static_race,
+        ..ReproOptions::default()
     })
 }
 
@@ -933,6 +860,11 @@ mod tests {
     use crate::stress::find_failure;
     use std::sync::Mutex;
     use std::time::Duration;
+
+    /// One settable value of [`ReproOptions`]: its name, whether it is
+    /// semantic (serialized and keyed) rather than a runtime attachment,
+    /// and a change away from its default.
+    type OptionCase = (&'static str, bool, fn(&mut ReproOptions));
 
     const FIG1: &str = r#"
         global x: int;
@@ -1035,21 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn align_wall_budget_interrupts() {
-        let p = mcr_lang::compile(FIG1).unwrap();
-        let options = ReproOptions::builder()
-            .budget(Phase::Align, PhaseBudget::wall(Duration::ZERO))
-            .build();
-        let mut s = fig1_session(&p, options);
-        assert!(matches!(
-            s.run_align(),
-            Err(ReproError::BudgetExhausted(Phase::Align))
-        ));
-        // The index artifact survived; lifting the budget resumes.
-        assert!(s.index_artifact().is_some());
-    }
-
-    #[test]
     fn warm_session_rehydrates_every_phase_from_the_store() {
         let p = mcr_lang::compile(FIG1).unwrap();
         let input = [0i64, 1];
@@ -1097,21 +1014,14 @@ mod tests {
             &p,
             sf.dump.clone(),
             &input,
-            ReproOptions::builder().trace_window(7).build(),
+            ReproOptions {
+                trace_window: 7,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_ne!(a.basis(), b.basis(), "input is part of the key basis");
         assert_ne!(a.basis(), c.basis(), "options are part of the key basis");
-        // Worker counts are NOT part of the basis: a cache populated on
-        // one machine must hit on another with different cores.
-        let d = ReproSession::new(
-            &p,
-            sf.dump.clone(),
-            &input,
-            ReproOptions::builder().parallelism(64).build(),
-        )
-        .unwrap();
-        assert_eq!(a.basis(), d.basis(), "parallelism must not affect keys");
         assert_ne!(
             a.phase_key(Phase::Index),
             b.phase_key(Phase::Index),
@@ -1140,7 +1050,10 @@ mod tests {
     #[test]
     fn only_pipeline_phases_have_hashes_and_keys() {
         let p = mcr_lang::compile(FIG1).unwrap();
-        let options = ReproOptions::builder().static_race(true).build();
+        let options = ReproOptions {
+            static_race: true,
+            ..Default::default()
+        };
         let mut s = fig1_session(&p, options);
         s.run_to_end().unwrap();
         for phase in crate::observe::PHASE_KINDS {
@@ -1149,5 +1062,115 @@ mod tests {
             assert_eq!(s.phase_key(phase).is_some(), pipeline, "{phase}");
             assert!(s.run_phase(phase).is_ok(), "{phase}");
         }
+    }
+
+    /// Every settable value of the options, each changed alone.
+    const OPTION_CASES: [OptionCase; 18] = [
+        ("strategy", true, |o| o.strategy = Strategy::Dependence),
+        ("align_mode", true, |o| {
+            o.align_mode = AlignMode::InstructionCount;
+        }),
+        ("algorithm", true, |o| o.algorithm = Algorithm::Chess),
+        ("search.preemption_bound", true, |o| {
+            o.search.preemption_bound = 1;
+        }),
+        ("search.max_tries", true, |o| o.search.max_tries = 7),
+        ("search.time_budget", true, |o| {
+            o.search.time_budget = Some(Duration::from_secs(60));
+        }),
+        ("search.max_steps", true, |o| o.search.max_steps = 1234),
+        ("search.pair_pool", true, |o| o.search.pair_pool = 3),
+        ("trace_window", true, |o| o.trace_window = 7),
+        ("max_steps", true, |o| o.max_steps = 5678),
+        ("limits.max_depth", true, |o| o.limits.max_depth = 3),
+        ("limits.max_paths", true, |o| o.limits.max_paths = 99),
+        ("mem_model", true, |o| {
+            o.mem_model = MemModel::Tso { buffer_cap: 4 };
+        }),
+        ("faults", true, |o| {
+            o.faults = vec![FaultSpec {
+                kind: FaultKind::AllocFail,
+                tid: ThreadId(1),
+                nth: 2,
+            }];
+        }),
+        ("static_race", true, |o| o.static_race = true),
+        ("parallelism", false, |o| o.parallelism += 1),
+        ("pool", false, |o| o.pool = Some(minipool::Pool::new(3))),
+        ("store", false, |o| {
+            o.store = Some(Arc::new(MemoryStore::unbounded()));
+        }),
+    ];
+
+    #[test]
+    fn each_option_survives_resume_and_keys_iff_semantic() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let input = [0i64, 1];
+        let sf = find_failure(&p, &input, 0..200_000, 1_000_000).expect("stress exposes");
+        let defaults = ReproOptions::default();
+        // Exhaustive: a new settable value fails to compile here until
+        // it gets a case in the table.
+        let ReproOptions {
+            strategy: _,
+            align_mode: _,
+            algorithm: _,
+            search:
+                SearchConfig {
+                    preemption_bound: _,
+                    max_tries: _,
+                    time_budget: _,
+                    max_steps: _,
+                    pair_pool: _,
+                },
+            trace_window: _,
+            max_steps: _,
+            limits:
+                TraverseLimits {
+                    max_depth: _,
+                    max_paths: _,
+                },
+            parallelism: _,
+            store: _,
+            pool: _,
+            mem_model: _,
+            faults: _,
+            static_race: _,
+        } = &defaults;
+        let base = ReproSession::new(&p, sf.dump.clone(), &input, defaults.clone()).unwrap();
+        for (name, semantic, change) in OPTION_CASES {
+            let mut options = defaults.clone();
+            change(&mut options);
+            let changed = format!("{options:?}");
+            assert_ne!(changed, format!("{defaults:?}"), "{name}: no change");
+            let session = ReproSession::new(&p, sf.dump.clone(), &input, options).unwrap();
+            assert_eq!(
+                session.basis() != base.basis(),
+                semantic,
+                "{name}: keyed iff semantic"
+            );
+            // A semantic value comes back from the checkpoint; a runtime
+            // attachment comes back as the resuming process's default.
+            let resumed = ReproSession::resume(&p, &session.checkpoint()).unwrap();
+            let expected = if semantic {
+                changed
+            } else {
+                format!("{defaults:?}")
+            };
+            assert_eq!(format!("{:?}", resumed.options()), expected, "{name}");
+            assert_eq!(resumed.basis(), session.basis(), "{name}");
+        }
+    }
+
+    #[test]
+    fn previous_checkpoint_version_is_rejected() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let s = fig1_session(&p, ReproOptions::default());
+        let mut bytes = s.checkpoint();
+        assert!(ReproSession::resume(&p, &bytes).is_ok());
+        bytes[MAGIC.len()] = VERSION - 1;
+        assert!(matches!(
+            ReproSession::resume(&p, &bytes),
+            Err(ReproError::Codec(_))
+        ));
     }
 }

@@ -28,8 +28,10 @@ pub enum Algorithm {
     ChessX,
 }
 
-/// Configuration of one search.
-#[derive(Debug, Clone)]
+/// Configuration of one search: the values that decide its result.
+/// How the search runs — the executor it fans out over and the token
+/// that cancels it — are arguments of [`find_schedule`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchConfig {
     /// Preemption bound `k` (the paper uses 2).
     pub preemption_bound: usize,
@@ -44,37 +46,6 @@ pub struct SearchConfig {
     /// the `pair_pool` best candidates (by priority for ChessX, by
     /// execution order for CHESS) to bound worklist construction.
     pub pair_pool: usize,
-    /// Worker threads testing worklist combinations concurrently.
-    ///
-    /// `1` (the default) runs the exact serial loop, as does any value
-    /// once clamped to the machine's physical core count (extra workers
-    /// on an oversubscribed host only add contention). Higher values fan
-    /// the worklist over a pool whose workers claim combinations in
-    /// worklist order; the *lowest worklist
-    /// index* that reproduces wins, and the reported `reproduced` /
-    /// `winning` / `combinations_tested` / `tries` are identical to the
-    /// serial result whenever the search finishes without hitting the
-    /// try cap or deadline (speculative tries beyond the winner are
-    /// spent but not reported). When the budget *does* bind mid-search,
-    /// speculative work competes with low-index combinations for the
-    /// remaining tries, so a cut-off parallel run may reproduce a
-    /// different (or no) combination than a cut-off serial run — size
-    /// `max_tries` for the serial search and treat it as a work bound,
-    /// not an exact schedule.
-    pub parallelism: usize,
-    /// Cooperative cancellation: when the token fires mid-search, every
-    /// worker unwinds at its next budget poll and the search returns a
-    /// partial [`SearchResult`] with `cancelled` (and `cut_off`) set.
-    /// The default token never fires.
-    pub cancel: CancelToken,
-    /// An injected executor handle. `None` (the default) builds a
-    /// private pool of [`SearchConfig::parallelism`] workers per search,
-    /// the historical behavior; a batch scheduler instead hands every
-    /// search a clone of *one* handle (typically carrying a shared
-    /// [`minipool::Limit`]) so concurrent searches draw from a single
-    /// fleet-wide thread budget. When set, the handle's
-    /// [`threads()`](minipool::Pool::threads) supersedes `parallelism`.
-    pub pool: Option<minipool::Pool>,
 }
 
 impl Default for SearchConfig {
@@ -85,20 +56,7 @@ impl Default for SearchConfig {
             time_budget: None,
             max_steps: 10_000_000,
             pair_pool: 512,
-            parallelism: 1,
-            cancel: CancelToken::new(),
-            pool: None,
         }
-    }
-}
-
-impl SearchConfig {
-    /// The executor this search will fan out over: the injected handle,
-    /// or a private pool of `parallelism` workers.
-    pub fn executor(&self) -> minipool::Pool {
-        self.pool
-            .clone()
-            .unwrap_or_else(|| minipool::Pool::new(self.parallelism))
     }
 }
 
@@ -126,15 +84,40 @@ pub struct SearchResult {
 /// Searches for a failure-inducing schedule.
 ///
 /// `fresh_vm` must be a VM at the initial state for the failing input;
-/// each test clones it. `candidates` come from the passing run (see
-/// [`crate::candidates::annotate`]).
+/// each test clones it. `(candidates, future)` is the pair
+/// [`annotate`](crate::annotate) (or
+/// [`annotate_with_race`](crate::annotate_with_race)) derives from the
+/// passing run.
+///
+/// `executor` sets the fan-out. A one-worker pool, or any pool once
+/// clamped to the machine's physical core count (extra workers on an
+/// oversubscribed host only add contention), runs the exact serial
+/// loop. A larger pool fans the worklist over workers that claim
+/// combinations in worklist order; the *lowest worklist index* that
+/// reproduces wins, and the reported `reproduced` / `winning` /
+/// `combinations_tested` / `tries` are identical to the serial result
+/// whenever the search finishes without hitting the try cap or
+/// deadline (speculative tries beyond the winner are spent but not
+/// reported). When the budget *does* bind mid-search, speculative work
+/// competes with low-index combinations for the remaining tries, so a
+/// cut-off parallel run may reproduce a different (or no) combination
+/// than a cut-off serial run — size `max_tries` for the serial search
+/// and treat it as a work bound, not an exact schedule. A fleet passes
+/// every search a clone of one handle carrying a shared
+/// [`minipool::Limit`], so concurrent searches draw from a single
+/// thread budget.
+///
+/// When `cancel` fires mid-search, every worker unwinds at its next
+/// budget poll and the search returns a partial [`SearchResult`] with
+/// `cancelled` (and `cut_off`) set.
 pub fn find_schedule(
     fresh_vm: &Vm<'_>,
-    candidates: &[AnnotatedCandidate],
-    future: &FutureCsvMap,
+    (candidates, future): (&[AnnotatedCandidate], &FutureCsvMap),
     target: Failure,
     algorithm: Algorithm,
     config: &SearchConfig,
+    executor: &minipool::Pool,
+    cancel: &CancelToken,
 ) -> SearchResult {
     let start = Instant::now();
     let deadline = config.time_budget.map(|d| start + d);
@@ -145,7 +128,6 @@ pub fn find_schedule(
         Algorithm::ChessX => Guidance::CsvOverlap,
     };
 
-    let executor = config.executor();
     // Clamp the fan-out to the machine: workers beyond the physical
     // core count only add claim contention and speculative tries, and
     // on a single-core host the "parallel" path is pure overhead (the
@@ -154,13 +136,13 @@ pub fn find_schedule(
     let workers = executor.threads().min(minipool::available_parallelism());
     if workers > 1 && worklist.len() > 1 {
         return find_schedule_parallel(
-            fresh_vm, candidates, future, target, guidance, config, &executor, workers, &worklist,
-            deadline, start,
+            fresh_vm, candidates, future, target, guidance, config, executor, cancel, workers,
+            &worklist, deadline, start,
         );
     }
 
     let mut budget =
-        Budget::with_tries(config.max_tries, config.max_steps).with_cancel(config.cancel.clone());
+        Budget::with_tries(config.max_tries, config.max_steps).with_cancel(cancel.clone());
     budget.deadline = deadline;
 
     let mut combinations_tested = 0u64;
@@ -215,8 +197,8 @@ pub fn find_schedule(
 /// indices *in order* from one shared counter; every worker draws from
 /// one shared try pool, and the *lowest worklist index* that reproduces
 /// is the winner, so the result matches the serial search whenever the
-/// budget does not cut the search off (see [`SearchConfig::parallelism`]
-/// for the cutoff caveat).
+/// budget does not cut the search off (see [`find_schedule`] for the
+/// cutoff caveat).
 ///
 /// In-order claiming (rather than chunked index splitting) keeps the
 /// fan-out front-loaded on the combinations the guided ordering ranked
@@ -239,6 +221,7 @@ fn find_schedule_parallel(
     guidance: Guidance,
     config: &SearchConfig,
     executor: &minipool::Pool,
+    cancel: &CancelToken,
     workers: usize,
     worklist: &[Vec<usize>],
     deadline: Option<Instant>,
@@ -269,7 +252,7 @@ fn find_schedule_parallel(
         if i >= n || i > winner.load(Ordering::Acquire) {
             break;
         }
-        if config.cancel.is_cancelled() {
+        if cancel.is_cancelled() {
             cancel_stopped.store(true, Ordering::Relaxed);
             break;
         }
@@ -278,7 +261,7 @@ fn find_schedule_parallel(
         }
         let mut budget = Budget::with_tries(u64::MAX, config.max_steps)
             .with_shared(pool.clone())
-            .with_cancel(config.cancel.clone())
+            .with_cancel(cancel.clone())
             .with_obsolete(Arc::clone(&winner), i);
         budget.deadline = deadline;
         let set: Vec<AnnotatedCandidate> =
@@ -486,30 +469,53 @@ mod tests {
         }
     }
 
+    /// Runs one search over the fixture's candidates on `executor`.
+    fn search(
+        s: &Setup,
+        target: Failure,
+        algorithm: Algorithm,
+        config: &SearchConfig,
+        executor: &minipool::Pool,
+        cancel: &CancelToken,
+    ) -> SearchResult {
+        let fresh = Vm::new(&s.program, &[0, 1]);
+        find_schedule(
+            &fresh,
+            (&s.candidates, &s.future),
+            target,
+            algorithm,
+            config,
+            executor,
+            cancel,
+        )
+    }
+
+    /// A serial search with a token that never fires.
+    fn serial(
+        s: &Setup,
+        target: Failure,
+        algorithm: Algorithm,
+        config: &SearchConfig,
+    ) -> SearchResult {
+        search(
+            s,
+            target,
+            algorithm,
+            config,
+            &minipool::Pool::new(1),
+            &CancelToken::new(),
+        )
+    }
+
     #[test]
     fn chessx_beats_chess_on_fig1() {
         let s = setup();
-        let fresh = Vm::new(&s.program, &[0, 1]);
         let cfg = SearchConfig::default();
 
-        let x = find_schedule(
-            &fresh,
-            &s.candidates,
-            &s.future,
-            s.failure,
-            Algorithm::ChessX,
-            &cfg,
-        );
+        let x = serial(&s, s.failure, Algorithm::ChessX, &cfg);
         assert!(x.reproduced, "chessx must reproduce: {x:?}");
 
-        let c = find_schedule(
-            &fresh,
-            &s.candidates,
-            &s.future,
-            s.failure,
-            Algorithm::Chess,
-            &cfg,
-        );
+        let c = serial(&s, s.failure, Algorithm::Chess, &cfg);
         assert!(c.reproduced, "plain chess eventually reproduces");
         assert!(
             x.tries <= c.tries,
@@ -557,7 +563,6 @@ mod tests {
     #[test]
     fn budget_cutoff_reported() {
         let s = setup();
-        let fresh = Vm::new(&s.program, &[0, 1]);
         // Impossible target: same kind, nonexistent pc.
         let impossible = Failure {
             pc: mcr_lang::Pc::new(mcr_lang::FuncId(0), mcr_lang::StmtId(0)),
@@ -567,14 +572,7 @@ mod tests {
             max_tries: 5,
             ..Default::default()
         };
-        let r = find_schedule(
-            &fresh,
-            &s.candidates,
-            &s.future,
-            impossible,
-            Algorithm::Chess,
-            &cfg,
-        );
+        let r = serial(&s, impossible, Algorithm::Chess, &cfg);
         assert!(!r.reproduced);
         assert!(r.cut_off);
         assert!(r.tries <= 5);
@@ -583,27 +581,22 @@ mod tests {
     #[test]
     fn parallel_search_matches_serial() {
         let s = setup();
-        let fresh = Vm::new(&s.program, &[0, 1]);
-        let serial_cfg = SearchConfig::default();
-        let par_cfg = SearchConfig {
-            parallelism: 4,
-            ..Default::default()
-        };
+        let cfg = SearchConfig::default();
         let points = |r: &SearchResult| {
             r.winning
                 .as_ref()
                 .map(|w| w.iter().map(|c| c.point).collect::<Vec<_>>())
         };
         for alg in [Algorithm::ChessX, Algorithm::Chess] {
-            let a = find_schedule(
-                &fresh,
-                &s.candidates,
-                &s.future,
+            let a = serial(&s, s.failure, alg, &cfg);
+            let b = search(
+                &s,
                 s.failure,
                 alg,
-                &serial_cfg,
+                &cfg,
+                &minipool::Pool::new(4),
+                &CancelToken::new(),
             );
-            let b = find_schedule(&fresh, &s.candidates, &s.future, s.failure, alg, &par_cfg);
             assert_eq!(a.reproduced, b.reproduced, "{alg:?}");
             assert_eq!(a.tries, b.tries, "{alg:?}");
             assert_eq!(a.combinations_tested, b.combinations_tested, "{alg:?}");
@@ -625,7 +618,7 @@ mod tests {
             (Algorithm::ChessX, Guidance::CsvOverlap),
             (Algorithm::Chess, Guidance::All),
         ] {
-            let serial = find_schedule(&fresh, &s.candidates, &s.future, s.failure, alg, &cfg);
+            let serial = serial(&s, s.failure, alg, &cfg);
             let worklist = build_worklist(&s.candidates, alg, &cfg);
             let executor = minipool::Pool::new(4);
             let start = Instant::now();
@@ -637,6 +630,7 @@ mod tests {
                 guidance,
                 &cfg,
                 &executor,
+                &CancelToken::new(),
                 4,
                 &worklist,
                 None,
@@ -655,29 +649,17 @@ mod tests {
     #[test]
     fn injected_shared_pool_matches_serial() {
         let s = setup();
-        let fresh = Vm::new(&s.program, &[0, 1]);
-        let serial = find_schedule(
-            &fresh,
-            &s.candidates,
-            &s.future,
-            s.failure,
-            Algorithm::ChessX,
-            &SearchConfig::default(),
-        );
-        // A handle with a shared worker budget, as a fleet would inject;
-        // `parallelism` stays 1 to prove the handle supersedes it.
+        let cfg = SearchConfig::default();
+        let serial = serial(&s, s.failure, Algorithm::ChessX, &cfg);
+        // A handle with a shared worker budget, as a fleet would pass.
         let limit = minipool::Limit::new(2);
-        let cfg = SearchConfig {
-            pool: Some(minipool::Pool::with_limit(4, limit.clone())),
-            ..Default::default()
-        };
-        let injected = find_schedule(
-            &fresh,
-            &s.candidates,
-            &s.future,
+        let injected = search(
+            &s,
             s.failure,
             Algorithm::ChessX,
             &cfg,
+            &minipool::Pool::with_limit(4, limit.clone()),
+            &CancelToken::new(),
         );
         assert_eq!(serial.reproduced, injected.reproduced);
         assert_eq!(serial.tries, injected.tries);
@@ -690,29 +672,25 @@ mod tests {
     #[test]
     fn cancellation_returns_partial_result() {
         let s = setup();
-        let fresh = Vm::new(&s.program, &[0, 1]);
         // Impossible target so the search would otherwise grind through
         // the entire worklist.
         let impossible = Failure {
             pc: mcr_lang::Pc::new(mcr_lang::FuncId(0), mcr_lang::StmtId(0)),
             ..s.failure
         };
-        for parallelism in [1, 4] {
-            let cfg = SearchConfig {
-                parallelism,
-                ..Default::default()
-            };
-            cfg.cancel.cancel(); // fire before the search even starts
-            let r = find_schedule(
-                &fresh,
-                &s.candidates,
-                &s.future,
+        for workers in [1, 4] {
+            let cancel = CancelToken::new();
+            cancel.cancel(); // fire before the search even starts
+            let r = search(
+                &s,
                 impossible,
                 Algorithm::Chess,
-                &cfg,
+                &SearchConfig::default(),
+                &minipool::Pool::new(workers),
+                &cancel,
             );
             assert!(!r.reproduced);
-            assert!(r.cancelled, "parallelism {parallelism}");
+            assert!(r.cancelled, "{workers} workers");
             assert!(r.cut_off);
             assert_eq!(r.tries, 0);
         }

@@ -1,9 +1,9 @@
 //! PR 2's performance-engine contracts:
 //!
 //! * **Parallel ≡ serial.** The work-stealing search driver
-//!   (`SearchConfig::parallelism` / `ReproOptions::parallelism`) and the
-//!   parallel stress scan select deterministic winners (lowest worklist
-//!   index, lowest seed), so `parallelism = 1` and `parallelism = 4`
+//!   (`ReproOptions::parallelism`, the executor `find_schedule` fans
+//!   out over) and the parallel stress scan select deterministic
+//!   winners (lowest worklist index, lowest seed), so `parallelism = 1` and `parallelism = 4`
 //!   must produce the same `reproduced` flag, try count, and winning
 //!   schedule for every bug in the suite — and that schedule must
 //!   actually replay to the target failure.
